@@ -5,10 +5,13 @@
     legacy {!Stardust_tensor.Tensor_io} readers (kept for their
     exception-style API), these readers
 
-    - parse in a {b single bounded-memory pass}: each line is tokenized
-      with a hand-rolled splitter into {!Growable} typed arrays or
-      directly into a {!Stardust_tensor.Coo} builder — no intermediate
-      lists, no [List.nth] scans;
+    - parse in a {b single bounded-memory pass}: each line is split in
+      place (field boundaries recorded in a per-reader scratch array, not
+      copied out), plain decimal coordinates are read straight from the
+      line, and entries go into a flat struct-of-arrays
+      {!Stardust_tensor.Coo} builder.  Duplicates are found after the
+      pass, as adjacent equal coordinates in the packer's sorted order,
+      not through a hash table;
     - enforce {b hard resource budgets} ([max_nnz], [max_bytes]) so a
       hostile or mislabeled file cannot OOM the process;
     - map {b every} malformed-input path to a stable [E021x]
@@ -89,6 +92,18 @@ let reject ?span ~path ~line ~code fmt =
 (* Faulting line source                                                *)
 (* ------------------------------------------------------------------ *)
 
+(** Field boundaries of the current line: {!split} records where each
+    whitespace-separated field starts and stops instead of copying it
+    out.  At most [max_fields + 1] fields are recorded, so ragged lines
+    are detectable in bounded space. *)
+type fields = { starts : int array; stops : int array; mutable count : int }
+
+let max_fields = 64
+
+let fields () =
+  let bound () = Array.make (max_fields + 1) 0 in
+  { starts = bound (); stops = bound (); count = 0 }
+
 (** A line-oriented reader over an [in_channel] that tracks byte offsets
     and line numbers, applies injected faults, and enforces the byte
     budget.  All reads go through {!next_line}; the channel is closed by
@@ -102,6 +117,7 @@ type source = {
   mutable lineno : int;  (** 1-based line of the most recent {!next_line} *)
   mutable line_start : int;  (** byte offset where that line began *)
   mutable truncated : bool;  (** a [Truncate_at] fault has fired *)
+  fields : fields;  (** scratch for {!split} *)
 }
 
 let truncate_point faults =
@@ -172,55 +188,73 @@ let line_span src =
   { Diag.start = src.line_start; stop = src.offset }
 
 (* ------------------------------------------------------------------ *)
-(* Tokenizing                                                          *)
+(* Parsing in place                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let is_ws c = c = ' ' || c = '\t' || c = '\r'
 
-(** Split [line] on runs of whitespace without building lists of empty
-    fields; at most [max_fields + 1] tokens are returned so ragged lines
-    are detectable without unbounded allocation. *)
-let tokenize ?(max_fields = 64) line =
-  let n = String.length line in
-  let fields = ref [] and count = ref 0 in
+(** Record the fields of [line] in [src.fields]. *)
+let split src line =
+  let f = src.fields and n = String.length line in
+  f.count <- 0;
   let i = ref 0 in
-  while !i < n && !count <= max_fields do
+  while !i < n && f.count <= max_fields do
     while !i < n && is_ws line.[!i] do
       incr i
     done;
     if !i < n then begin
-      let start = !i in
+      f.starts.(f.count) <- !i;
       while !i < n && not (is_ws line.[!i]) do
         incr i
       done;
-      fields := String.sub line start (!i - start) :: !fields;
-      incr count
+      f.stops.(f.count) <- !i;
+      f.count <- f.count + 1
     end
-  done;
-  Array.of_list (List.rev !fields)
+  done
 
-let is_comment line =
-  let n = String.length line in
-  let rec first i = if i < n && is_ws line.[i] then first (i + 1) else i in
-  let i = first 0 in
-  i >= n || line.[i] = '%' || line.[i] = '#'
+(** Field [k] of the line last {!split}, copied out. *)
+let field src line k =
+  let f = src.fields in
+  String.sub line f.starts.(k) (f.stops.(k) - f.starts.(k))
 
-let parse_int src what s =
-  match int_of_string s with
+(** Field [k] as an integer.  A field of at most 18 plain decimal digits
+    is read in place (it cannot overflow); any other field goes through
+    [int_of_string], so every syntax it accepts ([+2], [0x2], [1_0])
+    still parses.  A reject names the field [what arg], built only
+    then. *)
+let parse_int src line k what arg =
+  let s = src.fields.starts.(k) and e = src.fields.stops.(k) in
+  let v = ref 0 and i = ref s in
+  if e - s <= 18 then
+    while !i < e && line.[!i] >= '0' && line.[!i] <= '9' do
+      v := (!v * 10) + Char.code line.[!i] - Char.code '0';
+      incr i
+    done;
+  if !i = e then !v
+  else
+    let tok = String.sub line s (e - s) in
+    match int_of_string tok with
+    | v -> v
+    | exception Failure _ ->
+        reject ~path:src.path ~line:src.lineno ~span:(line_span src)
+          ~code:Diag.code_ingest_entry "%s is not an integer: %S" (what arg)
+          tok
+
+let coordinate mode = Printf.sprintf "coordinate (mode %d)" mode
+
+let parse_value src line k =
+  let tok = field src line k in
+  match float_of_string tok with
   | v -> v
   | exception _ ->
       reject ~path:src.path ~line:src.lineno ~span:(line_span src)
-        ~code:Diag.code_ingest_entry "%s is not an integer: %S" what s
+        ~code:Diag.code_ingest_entry "value is not a number: %S" tok
 
-let parse_value src s =
-  match float_of_string s with
-  | v -> v
-  | exception _ ->
-      reject ~path:src.path ~line:src.lineno ~span:(line_span src)
-        ~code:Diag.code_ingest_entry "value is not a number: %S" s
-
-let parse_coord src ~mode ~dim s =
-  let c = parse_int src (Fmt.str "coordinate (mode %d)" mode) s in
+(** Field [k] as a 0-based coordinate of mode [mode], checked against
+    [dim] when that is positive; every message is built only when its
+    reject fires. *)
+let parse_coord src line k ~mode ~dim =
+  let c = parse_int src line k coordinate mode in
   if c < 1 then
     reject ~path:src.path ~line:src.lineno ~span:(line_span src)
       ~code:Diag.code_ingest_entry "coordinate %d (mode %d) is not positive" c
@@ -230,52 +264,6 @@ let parse_coord src ~mode ~dim s =
       ~code:Diag.code_ingest_entry
       "coordinate %d (mode %d) exceeds the declared dimension %d" c mode dim;
   c - 1
-
-(* ------------------------------------------------------------------ *)
-(* Duplicate detection                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Duplicate keys are packed into a single [int] when the coordinate
-    space fits 62 bits (virtually always); otherwise a string key keeps
-    correctness at some allocation cost. *)
-type dedup =
-  | Packed of (int, unit) Hashtbl.t * int array  (** multipliers *)
-  | Keyed of (string, unit) Hashtbl.t
-
-let dedup_create dims =
-  let fits =
-    Array.fold_left
-      (fun acc d ->
-        match acc with
-        | None -> None
-        | Some p ->
-            if d <= 0 || p > max_int / d then None else Some (p * d))
-      (Some 1) dims
-  in
-  match fits with
-  | Some _ -> Packed (Hashtbl.create 1024, dims)
-  | None -> Keyed (Hashtbl.create 1024)
-
-(** [true] when the coordinate was fresh (and is now recorded). *)
-let dedup_add d coords =
-  match d with
-  | Packed (tbl, dims) ->
-      let key = ref 0 in
-      Array.iteri (fun m c -> key := (!key * dims.(m)) + c) coords;
-      if Hashtbl.mem tbl !key then false
-      else begin
-        Hashtbl.add tbl !key ();
-        true
-      end
-  | Keyed tbl ->
-      let key =
-        String.concat "," (Array.to_list (Array.map string_of_int coords))
-      in
-      if Hashtbl.mem tbl key then false
-      else begin
-        Hashtbl.add tbl key ();
-        true
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Reader scaffolding                                                  *)
@@ -332,6 +320,7 @@ let with_source ?(budget = no_budget) ?(faults = []) path f =
               lineno = 0;
               line_start = 0;
               truncated = false;
+              fields = fields ();
             }
           in
           let r = f src in
@@ -369,7 +358,9 @@ let parse_mm_header src =
       reject ~path:src.path ~line:1 ~code:Diag.code_ingest_header
         "unexpected end of file: missing MatrixMarket header"
   | Some line ->
-      let fields = tokenize (String.lowercase_ascii line) in
+      let lower = String.lowercase_ascii line in
+      split src lower;
+      let fields = Array.init src.fields.count (field src lower) in
       if
         Array.length fields < 1
         || fields.(0) <> "%%matrixmarket"
@@ -402,16 +393,24 @@ let parse_mm_header src =
           line;
       { symmetric = mem "symmetric"; pattern = mem "pattern" }
 
+(** Next line that is neither blank nor a [%]/[#] comment, already
+    {!split}. *)
 let rec next_data_line src =
   match next_line src with
   | None -> None
-  | Some l when is_comment l -> next_data_line src
-  | Some l -> Some l
+  | Some l ->
+      split src l;
+      let f = src.fields in
+      if f.count = 0 || l.[f.starts.(0)] = '%' || l.[f.starts.(0)] = '#' then
+        next_data_line src
+      else Some l
 
 (** Streaming Matrix Market reader.  One pass: header, size line, then
     [nnz] entries straight into a {!Coo} builder created from the size
-    line — duplicate detection (including mirrored symmetric duplicates)
-    happens inline. *)
+    line.  Duplicates (mirrored symmetric ones included) are found in the
+    packer's sorted order and reported at the line of the earliest
+    colliding insertion — before any reject from a later line, exactly as
+    an insertion-time check would. *)
 let read_matrix_market_result ?(name = "mtx") ?(budget = no_budget)
     ?(faults = []) ~format path =
   run_reader ("ingest.mtx " ^ path) @@ fun () ->
@@ -423,11 +422,11 @@ let read_matrix_market_result ?(name = "mtx") ?(budget = no_budget)
         reject ~path ~line:src.lineno ~code:Diag.code_ingest_header
           "unexpected end of file: missing size line"
     | Some line -> (
-        match tokenize line with
-        | [| r; c; n |] ->
-            let r = parse_int src "row count" r
-            and c = parse_int src "column count" c
-            and n = parse_int src "entry count" n in
+        match src.fields.count with
+        | 3 ->
+            let r = parse_int src line 0 Fun.id "row count"
+            and c = parse_int src line 1 Fun.id "column count"
+            and n = parse_int src line 2 Fun.id "entry count" in
             if r < 1 || c < 1 || n < 0 then
               reject ~path ~line:src.lineno ~span:(line_span src)
                 ~code:Diag.code_ingest_header
@@ -440,16 +439,39 @@ let read_matrix_market_result ?(name = "mtx") ?(budget = no_budget)
   in
   check_nnz_budget src ~budget nnz;
   check_format_order src ~format ~order:2;
-  let dims = [| rows; cols |] in
-  let coo = Coo.create dims in
-  let dedup = dedup_create dims in
-  let add_checked i j v =
-    if not (dedup_add dedup [| i; j |]) then
-      reject ~path ~line:src.lineno ~span:(line_span src)
-        ~code:Diag.code_ingest_duplicate "duplicate entry (%d, %d)" (i + 1)
-        (j + 1);
-    Coo.add coo [| i; j |] v
+  (* an entry line takes at least 4 bytes, so the bytes the reader may
+     consume bound the entries whatever the size line claims *)
+  let bytes =
+    min (in_channel_length src.ic) (Option.value src.max_bytes ~default:max_int)
   in
+  let capacity = min nnz (bytes / 4) * if hdr.symmetric then 2 else 1 in
+  let coo = Coo.create ~capacity [| rows; cols |] in
+  (* Beside each entry, the line, span start and span stop it came from,
+     so a duplicate is reported where its colliding insertion was read. *)
+  let where = Coo.create ~capacity [| max_int; max_int; max_int |] in
+  let entry = [| 0; 0 |] and origin = [| 0; 0; 0 |] in
+  let push i j v =
+    entry.(0) <- i;
+    entry.(1) <- j;
+    Coo.add coo entry v;
+    origin.(0) <- src.lineno;
+    origin.(1) <- src.line_start;
+    origin.(2) <- src.offset;
+    Coo.add where origin 0.0
+  in
+  (* Rejects the earliest insertion that repeats an earlier entry's
+     coordinates — a mirrored symmetric entry included. *)
+  let check_duplicates sorted =
+    match Coo.first_duplicate coo sorted with
+    | None -> ()
+    | Some e ->
+        let at m = Coo.coord where e m in
+        reject ~path ~line:(at 0)
+          ~span:{ Diag.start = at 1; stop = at 2 }
+          ~code:Diag.code_ingest_duplicate "duplicate entry (%d, %d)"
+          (Coo.coord coo e 0 + 1) (Coo.coord coo e 1 + 1)
+  in
+  let want = if hdr.pattern then 2 else 3 in
   let seen = ref 0 in
   let rec entries () =
     match next_data_line src with
@@ -463,10 +485,9 @@ let read_matrix_market_result ?(name = "mtx") ?(budget = no_budget)
           reject ~path ~line:src.lineno ~span:(line_span src)
             ~code:Diag.code_ingest_entry "trailing garbage after %d entries"
             nnz;
-        let fields = tokenize line in
-        let want = if hdr.pattern then 2 else 3 in
-        if Array.length fields <> want then
-          (if hdr.pattern && Array.length fields > 2 then
+        let nf = src.fields.count in
+        if nf <> want then
+          (if hdr.pattern && nf > 2 then
              reject ~path ~line:src.lineno ~span:(line_span src)
                ~code:Diag.code_ingest_entry
                "pattern entry carries a value: %S" line
@@ -474,50 +495,58 @@ let read_matrix_market_result ?(name = "mtx") ?(budget = no_budget)
              reject ~path ~line:src.lineno ~span:(line_span src)
                ~code:Diag.code_ingest_entry
                "malformed entry %S: want %d fields" line want);
-        let i = parse_coord src ~mode:0 ~dim:rows fields.(0) in
-        let j = parse_coord src ~mode:1 ~dim:cols fields.(1) in
-        let v = if hdr.pattern then 1.0 else parse_value src fields.(2) in
-        add_checked i j v;
-        if hdr.symmetric && i <> j then add_checked j i v;
+        let i = parse_coord src line 0 ~mode:0 ~dim:rows in
+        let j = parse_coord src line 1 ~mode:1 ~dim:cols in
+        let v = if hdr.pattern then 1.0 else parse_value src line 2 in
+        push i j v;
+        if hdr.symmetric && i <> j then push j i v;
         incr seen;
         entries ()
   in
-  entries ();
-  Tensor.of_coo ~name ~format coo
+  (* a duplicate precedes any reject from a later line *)
+  (try entries ()
+   with Reject _ as e ->
+     check_duplicates (Coo.sort coo);
+     raise e);
+  let sorted = Coo.sort ~mode_order:format.Format.mode_order coo in
+  check_duplicates sorted;
+  Tensor.of_coo ~sorted ~name ~format coo
 
 (* ------------------------------------------------------------------ *)
 (* FROSTT .tns                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (** Streaming FROSTT reader.  [.tns] files carry no size header, so the
-    single pass accumulates coordinates and values into {!Growable}
-    arrays (inferring the order from the first entry and the dimensions
-    from coordinate maxima unless [dims] pins them), then builds the
-    tensor once the extent is known. *)
+    single pass accumulates entries into a {!Coo} builder of unbounded
+    extent (inferring the order from the first entry and the dimensions
+    from coordinate maxima unless [dims] pins them), then checks for
+    duplicates and builds the tensor once the extent is known. *)
 let read_tns_result ?(name = "tns") ?dims ?(budget = no_budget)
     ?(faults = []) ~format path =
   run_reader ("ingest.tns " ^ path) @@ fun () ->
   with_source ~budget ~faults path @@ fun src ->
   let declared = Option.map Array.of_list dims in
   let order = ref (match declared with Some d -> Array.length d | None -> 0) in
-  let coords = Growable.Ints.create () in
-  let vals = Growable.Floats.create () in
+  (* created at the first entry, once the order is known *)
+  let coo = ref (Coo.create [| 1 |]) and entry = ref [||] in
   let maxima = ref [||] in
   let rec entries () =
     match next_data_line src with
     | None -> ()
     | Some line ->
-        let fields = tokenize line in
-        let nf = Array.length fields in
-        if !order = 0 then begin
-          if nf < 2 then
-            reject ~path ~line:src.lineno ~span:(line_span src)
-              ~code:Diag.code_ingest_entry
-              "malformed entry %S: want COORDS.. VALUE" line;
-          order := nf - 1;
-          maxima := Array.make !order 0
-        end
-        else if Array.length !maxima = 0 then maxima := Array.make !order 0;
+        let nf = src.fields.count in
+        if Array.length !maxima = 0 then begin
+          if !order = 0 then begin
+            if nf < 2 then
+              reject ~path ~line:src.lineno ~span:(line_span src)
+                ~code:Diag.code_ingest_entry
+                "malformed entry %S: want COORDS.. VALUE" line;
+            order := nf - 1
+          end;
+          maxima := Array.make !order 0;
+          entry := Array.make !order 0;
+          coo := Coo.create (Array.make !order max_int)
+        end;
         if nf <> !order + 1 then
           reject ~path ~line:src.lineno ~span:(line_span src)
             ~code:Diag.code_ingest_entry
@@ -526,17 +555,16 @@ let read_tns_result ?(name = "tns") ?dims ?(budget = no_budget)
           let dim =
             match declared with Some d -> d.(m) | None -> 0
           in
-          let c = parse_coord src ~mode:m ~dim fields.(m) in
+          let c = parse_coord src line m ~mode:m ~dim in
           !maxima.(m) <- max !maxima.(m) (c + 1);
-          Growable.Ints.push coords c
+          !entry.(m) <- c
         done;
-        Growable.Floats.push vals (parse_value src fields.(!order));
-        check_nnz_budget src ~budget (Growable.Floats.length vals);
+        Coo.add !coo !entry (parse_value src line !order);
+        check_nnz_budget src ~budget (Coo.length !coo);
         entries ()
   in
   entries ();
-  let n = Growable.Floats.length vals in
-  if n = 0 then
+  if Coo.length !coo = 0 then
     reject ~path ~line:src.lineno ~code:Diag.code_ingest_truncated
       "no entries in %s" path;
   (match declared with
@@ -545,31 +573,18 @@ let read_tns_result ?(name = "tns") ?dims ?(budget = no_budget)
         "entries have %d modes but dims declares %d" !order (Array.length d)
   | _ -> ());
   check_format_order src ~format ~order:!order;
-  let dims = match declared with Some d -> d | None -> !maxima in
-  let dedup = dedup_create dims in
-  let coo = Coo.create dims in
-  let entry = Array.make !order 0 in
-  let dup = ref None in
-  (try
-     for e = 0 to n - 1 do
-       for m = 0 to !order - 1 do
-         entry.(m) <- Growable.Ints.get coords ((e * !order) + m)
-       done;
-       if not (dedup_add dedup entry) then begin
-         dup := Some (Array.copy entry);
-         raise Exit
-       end;
-       Coo.add coo entry (Growable.Floats.get vals e)
-     done
-   with Exit -> ());
-  (match !dup with
-  | Some c ->
+  let coo =
+    Coo.with_dims !coo (match declared with Some d -> d | None -> !maxima)
+  in
+  let sorted = Coo.sort ~mode_order:format.Format.mode_order coo in
+  (match Coo.first_duplicate coo sorted with
+  | Some e ->
       reject ~path ~line:src.lineno ~code:Diag.code_ingest_duplicate
         "duplicate entry %s"
         (String.concat " "
-           (Array.to_list (Array.map (fun c -> string_of_int (c + 1)) c)))
+           (List.init !order (fun m -> string_of_int (Coo.coord coo e m + 1))))
   | None -> ());
-  Tensor.of_coo ~name ~format coo
+  Tensor.of_coo ~sorted ~name ~format coo
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch and raising shims                                          *)

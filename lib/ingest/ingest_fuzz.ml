@@ -14,19 +14,25 @@
     private {!Random.State} and case files are rewritten in place. *)
 
 module Diag = Stardust_diag.Diag
+module Stats_cache = Stardust_tensor.Stats_cache
 
 (** Everything a run learned.  [failures] holds one human-readable line
-    per envelope escape; the run is green iff it is empty. *)
+    per envelope escape; the run is green iff it is empty.  [digest]
+    hashes every case's outcome — the code, message, line and span of a
+    reject, the fingerprint of a parse — so a reader rewrite can prove it
+    changed no diagnostic and no tensor over a whole run. *)
 type stats = {
   cases : int;
   ok : int;  (** mutants that still parsed *)
   rejected : int;  (** mutants rejected with a structured E021x *)
   failures : string list;
+  digest : string;  (** hex MD5 of the per-case outcome lines *)
 }
 
 let pp_stats ppf s =
-  Fmt.pf ppf "ingest fuzz: %d cases, %d parsed, %d rejected, %d escapes"
-    s.cases s.ok s.rejected (List.length s.failures)
+  Fmt.pf ppf
+    "ingest fuzz: %d cases, %d parsed, %d rejected, %d escapes, digest %s"
+    s.cases s.ok s.rejected (List.length s.failures) s.digest
 
 (* ------------------------------------------------------------------ *)
 (* Well-formed file generation                                         *)
@@ -142,6 +148,25 @@ let envelope_codes =
 
 let in_envelope (d : Diag.t) = List.mem d.Diag.code envelope_codes
 
+(** A read's outcome on one line: each reject's code, message, line and
+    span, or the parsed tensor's fingerprint. *)
+let outcome_line ~path = function
+  | Ok t -> "ok " ^ Stats_cache.fingerprint t
+  | Error ds ->
+      String.concat "; "
+        (List.map
+           (fun (d : Diag.t) ->
+             Printf.sprintf "%s %S line=%s span=%s" d.Diag.code
+               (* the case file's name carries the process id *)
+               (Str.global_replace (Str.regexp_string path) "<file>"
+                  d.Diag.message)
+               (Option.value ~default:"-"
+                  (List.assoc_opt "line" d.Diag.context))
+               (match d.Diag.span with
+               | Some s -> Printf.sprintf "%d-%d" s.Diag.start s.Diag.stop
+               | None -> "-"))
+           ds)
+
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
@@ -161,6 +186,7 @@ let run ?(cases = 200) ?(seed = 42) ?(log = ignore) () =
       (Printf.sprintf "stardust-ingest-fuzz-%d-%d" (Unix.getpid ()) seed)
   in
   let ok = ref 0 and rejected = ref 0 and failures = ref [] in
+  let outcomes = Buffer.create 4096 in
   let fail case fmt =
     Fmt.kstr
       (fun m ->
@@ -200,17 +226,20 @@ let run ?(cases = 200) ?(seed = 42) ?(log = ignore) () =
     (match
        Ingest.read_file_result ~name:"fuzz" ~budget ~faults ~format path
      with
-    | Ok _ -> incr ok
-    | Error [] -> fail case "empty diagnostic list"
-    | Error ds ->
-        if List.for_all in_envelope ds then incr rejected
-        else
-          List.iter
-            (fun d ->
-              if not (in_envelope d) then
-                fail case "diagnostic outside the E021x envelope: %s (%s)"
-                  d.Diag.code d.Diag.message)
-            ds
+    | r -> (
+        Buffer.add_string outcomes (outcome_line ~path r ^ "\n");
+        match r with
+        | Ok _ -> incr ok
+        | Error [] -> fail case "empty diagnostic list"
+        | Error ds ->
+            if List.for_all in_envelope ds then incr rejected
+            else
+              List.iter
+                (fun d ->
+                  if not (in_envelope d) then
+                    fail case "diagnostic outside the E021x envelope: %s (%s)"
+                      d.Diag.code d.Diag.message)
+                ds)
     | exception e ->
         fail case "reader escaped with exception %s" (Printexc.to_string e));
     let fds = Ingest.open_fds () in
@@ -218,4 +247,6 @@ let run ?(cases = 200) ?(seed = 42) ?(log = ignore) () =
   done;
   (try Sys.remove (base ^ ".mtx") with Sys_error _ -> ());
   (try Sys.remove (base ^ ".tns") with Sys_error _ -> ());
-  { cases; ok = !ok; rejected = !rejected; failures = List.rev !failures }
+  let digest = Digest.to_hex (Digest.string (Buffer.contents outcomes)) in
+  let failures = List.rev !failures in
+  { cases; ok = !ok; rejected = !rejected; failures; digest }

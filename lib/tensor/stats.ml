@@ -45,12 +45,6 @@ let of_tensor (x : Tensor.t) =
   in
   { dims; nnz; num_vals = Tensor.num_vals x; level_positions; density }
 
-(** Average number of children per position at level [l] (fiber length). *)
-let avg_fiber_len s l =
-  let parent = if l = 0 then 1 else s.level_positions.(l - 1) in
-  if parent = 0 then 0.0
-  else float_of_int s.level_positions.(l) /. float_of_int parent
-
 let pp ppf s =
   Fmt.pf ppf "dims=%a nnz=%d vals=%d density=%.3e levels=%a"
     Fmt.(brackets (array ~sep:(any "x") int))
@@ -183,11 +177,21 @@ let key_coiter_launch_total ~union ~par ~parent_span (pa : int array)
 (* Co-iteration cardinalities                                            *)
 (* -------------------------------------------------------------------- *)
 
-let sorted_coords (x : Tensor.t) =
-  let l = Tensor.fold_nonzeros (fun acc c _ -> c :: acc) [] x in
-  let a = Array.of_list l in
+(* Sorted distinct [key c] over the nonzeros [c] of [t]. *)
+let sorted_distinct key (t : Tensor.t) =
+  let a =
+    Array.of_list (Tensor.fold_nonzeros (fun acc c _ -> key c :: acc) [] t)
+  in
   Array.sort compare a;
-  a
+  let n = ref 0 in
+  Array.iter
+    (fun p ->
+      if !n = 0 || compare p a.(!n - 1) <> 0 then begin
+        a.(!n) <- p;
+        incr n
+      end)
+    a;
+  Array.sub a 0 !n
 
 let count_merge a b =
   let na = Array.length a and nb = Array.length b in
@@ -210,10 +214,10 @@ let full_merge_counts (a : Tensor.t) (b : Tensor.t) =
   let da = Tensor.dims a and db = Tensor.dims b in
   let order = Array.length da in
   if Array.length db <> order then
-    count_merge (sorted_coords a) (sorted_coords b)
+    count_merge (sorted_distinct Fun.id a) (sorted_distinct Fun.id b)
   else
     match linear_spans da db ~depth:(order - 1) with
-    | None -> count_merge (sorted_coords a) (sorted_coords b)
+    | None -> count_merge (sorted_distinct Fun.id a) (sorted_distinct Fun.id b)
     | Some spans ->
         let keys t =
           let buf = ref (Array.make 64 0) and n = ref 0 in
@@ -241,101 +245,62 @@ let intersection_nnz a b = fst (full_merge_counts a b)
     of a union co-iteration over full coordinates). *)
 let union_nnz a b = snd (full_merge_counts a b)
 
-(** Union cardinality of several tensors (e.g. Plus3's three-way add). *)
-let union_nnz_many = function
-  | [] -> 0
-  | [ x ] -> Tensor.nnz x
-  | x :: rest -> (
-      let ts = x :: rest in
-      let order = Array.length (Tensor.dims x) in
-      let spans =
-        if List.for_all (fun t -> Array.length (Tensor.dims t) = order) ts
-        then
-          let dims =
-            List.fold_left
-              (fun acc t -> Array.map2 max acc (Tensor.dims t))
-              (Tensor.dims x) rest
-          in
-          linear_spans dims dims ~depth:(order - 1)
-        else None
-      in
-      match spans with
-      | Some spans ->
-          let tbl = Hashtbl.create 1024 in
-          List.iter
-            (fun t ->
-              Tensor.iter_nonzeros
-                (fun c _ ->
-                  let k = ref 0 in
-                  for i = 0 to order - 1 do
-                    k := (!k * spans.(i)) + c.(i)
-                  done;
-                  Hashtbl.replace tbl !k ())
-                t)
-            ts;
-          Hashtbl.length tbl
-      | None ->
-          let tbl = Hashtbl.create 1024 in
-          List.iter
-            (fun t ->
-              Tensor.iter_nonzeros
-                (fun c _ -> Hashtbl.replace tbl (Array.to_list c) ())
-                t)
-            ts;
-          Hashtbl.length tbl)
-
 (** Rows (leading-dimension slices) with at least one stored nonzero. *)
 let nonempty_rows (x : Tensor.t) =
   let seen = Hashtbl.create 256 in
   Tensor.iter_nonzeros (fun c _ -> Hashtbl.replace seen c.(0) ()) x;
   Hashtbl.length seen
 
-(* Generic prefix table (any mode order): int keys when the prefix space
-   fits an int, coordinate-list keys otherwise. *)
+(** When exactly one of [a] and [b] has [depth] modes or fewer, the
+    merges that replace theirs: [Some (d, pairs)], where every pair holds
+    sorted distinct coordinate suffixes to merge at depth [d].  The short
+    tensor co-iterates at a shallower level of its own, as [B(k)] against
+    [A(i,k)] at depth 1: it is broadcast over the other's distinct
+    leading coordinates.  So each leading part of the long tensor's
+    length-[depth + 1] prefixes meets all of the short tensor, and their
+    merge runs on the trailing parts — without building the broadcast. *)
+let broadcast_pairs (a : Tensor.t) (b : Tensor.t) ~depth =
+  let k = depth + 1 and order t = Array.length (Tensor.dims t) in
+  let split long short =
+    let m = order short in
+    let own = sorted_distinct Fun.id short in
+    let pl = sorted_distinct (fun c -> Array.sub c 0 k) long in
+    let lead i = Array.sub pl.(i) 0 (k - m) in
+    let runs = ref [] and start = ref 0 in
+    for i = 1 to Array.length pl do
+      if i = Array.length pl || compare (lead i) (lead !start) <> 0 then begin
+        let run = Array.sub pl !start (i - !start) in
+        runs := Array.map (fun p -> Array.sub p (k - m) m) run :: !runs;
+        start := i
+      end
+    done;
+    (m - 1, List.map (fun run -> (run, own)) !runs)
+  in
+  match (order a <= depth, order b <= depth) with
+  | false, true -> Some (split a b)
+  | true, false ->
+      let d, pairs = split b a in
+      Some (d, List.map (fun (l, s) -> (s, l)) pairs)
+  | _ -> None
+
+(* Generic prefix counts (any mode order): the distinct prefixes of both
+   tensors, sorted and merged — as linearized int keys when the prefix
+   space fits an int. *)
 let prefix_table_counts ~union (a : Tensor.t) (b : Tensor.t) ~depth =
-  match linear_spans (Tensor.dims a) (Tensor.dims b) ~depth with
-  | Some spans ->
-      let prefixes t =
-        let tbl = Hashtbl.create 1024 in
-        Tensor.iter_nonzeros
-          (fun c _ ->
-            let k = ref 0 in
-            for i = 0 to depth do
-              k := (!k * spans.(i)) + c.(i)
-            done;
-            Hashtbl.replace tbl !k ())
-          t;
-        tbl
+  let pick (inter, either) = if union then either else inter in
+  let spans = linear_spans (Tensor.dims a) (Tensor.dims b) ~depth in
+  match (broadcast_pairs a b ~depth, spans) with
+  | Some (_, pairs), _ ->
+      List.fold_left (fun n (pa, pb) -> n + pick (count_merge pa pb)) 0 pairs
+  | None, Some spans ->
+      let keys t =
+        Array.to_list (distinct_prefix_keys t ~spans ~depth)
+        |> List.sort_uniq Int.compare |> Array.of_list
       in
-      let pa = prefixes a and pb = prefixes b in
-      let count = ref 0 in
-      if union then begin
-        Hashtbl.iter (fun k () -> if not (Hashtbl.mem pb k) then incr count) pa;
-        !count + Hashtbl.length pb
-      end
-      else begin
-        Hashtbl.iter (fun k () -> if Hashtbl.mem pb k then incr count) pa;
-        !count
-      end
-  | None ->
-      let prefixes t =
-        let tbl = Hashtbl.create 1024 in
-        Tensor.iter_nonzeros
-          (fun c _ ->
-            Hashtbl.replace tbl (Array.to_list (Array.sub c 0 (depth + 1))) ())
-          t;
-        tbl
-      in
-      let pa = prefixes a and pb = prefixes b in
-      let count = ref 0 in
-      if union then begin
-        Hashtbl.iter (fun k () -> if not (Hashtbl.mem pb k) then incr count) pa;
-        !count + Hashtbl.length pb
-      end
-      else begin
-        Hashtbl.iter (fun k () -> if Hashtbl.mem pb k then incr count) pa;
-        !count
-      end
+      key_merge_count ~union (keys a) (keys b)
+  | None, None ->
+      let prefixes = sorted_distinct (fun c -> Array.sub c 0 (depth + 1)) in
+      pick (count_merge (prefixes a) (prefixes b))
 
 (** [prefix_coiter_count ~union a b ~depth] is the number of distinct
     coordinate prefixes of length [depth + 1] present in both
@@ -389,11 +354,9 @@ let sorted_prefixes (t : Tensor.t) ~depth =
     t;
   Array.of_list (List.rev !out)
 
-(* Original array-merge grouping, kept as the overflow fallback of
-   {!coiter_launch_total}. *)
-let coiter_launch_total_arrays ~union ~par (a : Tensor.t) (b : Tensor.t)
-    ~depth =
-  let pa = sorted_prefixes a ~depth and pb = sorted_prefixes b ~depth in
+(* Original array-merge grouping of sorted prefixes [pa] and [pb], kept
+   as the overflow fallback of {!coiter_launch_total}. *)
+let launch_merge ~union ~par ~depth pa pb =
   let na = Array.length pa and nb = Array.length pb in
   let parent p = Array.sub p 0 depth in
   let acc = ref 0.0 in
@@ -434,6 +397,17 @@ let coiter_launch_total_arrays ~union ~par (a : Tensor.t) (b : Tensor.t)
   end;
   flush ();
   !acc
+
+let coiter_launch_total_arrays ~union ~par (a : Tensor.t) (b : Tensor.t)
+    ~depth =
+  match broadcast_pairs a b ~depth with
+  | Some (d, pairs) ->
+      List.fold_left
+        (fun acc (pa, pb) -> acc +. launch_merge ~union ~par ~depth:d pa pb)
+        0.0 pairs
+  | None ->
+      launch_merge ~union ~par ~depth (sorted_prefixes a ~depth)
+        (sorted_prefixes b ~depth)
 
 (** Like {!fiber_launch_total} but for the {e co-iteration} of two tensors
     at level [depth]: groups the surviving coordinates by their parent

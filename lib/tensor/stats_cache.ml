@@ -139,41 +139,31 @@ let locked f =
 (* Fingerprint memo, keyed by physical identity: tensors are immutable
    once packed and the same [Tensor.t] value is queried hundreds of times
    per search, but the full fingerprint scans the value array (its nnz
-   count).  A cheap structural bucket narrows to the handful of live
-   tensors sharing a name/shape, compared with [==].  Capped like the
-   main table so fuzz-generated tensors cannot accumulate forever. *)
-let fp_memo : (string, (Tensor.t * string) list) Hashtbl.t = Hashtbl.create 64
-let fp_memo_size = ref 0
+   count).  A cheap structural hash narrows to the handful of tensors
+   sharing a name/shape, compared with [==].  The keys are ephemerons, so
+   the memo never keeps a tensor alive: a loop that reads a fresh tensor
+   per request does not accumulate them.  Capped like the main table. *)
+module Fp_memo = Ephemeron.K1.Make (struct
+  type t = Tensor.t
+
+  let equal = ( == )
+
+  let hash (t : Tensor.t) =
+    Hashtbl.hash (Tensor.name t, Array.length t.Tensor.dims, Tensor.num_vals t)
+end)
+
+let fp_memo : string Fp_memo.t = Fp_memo.create 64
 let max_fp_entries = 4096
 
 let fingerprint (t : Tensor.t) =
-  let bucket =
-    Printf.sprintf "%s|%d|%d" (Tensor.name t)
-      (Array.length t.Tensor.dims)
-      (Tensor.num_vals t)
-  in
-  let cached =
-    locked (fun () ->
-        match Hashtbl.find_opt fp_memo bucket with
-        | None -> None
-        | Some entries -> List.assq_opt t entries)
-  in
-  match cached with
+  match locked (fun () -> Fp_memo.find_opt fp_memo t) with
   | Some fp -> fp
   | None ->
       let fp = fingerprint_uncached t in
       locked (fun () ->
-          if !fp_memo_size >= max_fp_entries then begin
-            Hashtbl.reset fp_memo;
-            fp_memo_size := 0
-          end;
-          let entries =
-            Option.value ~default:[] (Hashtbl.find_opt fp_memo bucket)
-          in
-          if not (List.mem_assq t entries) then begin
-            Hashtbl.replace fp_memo bucket ((t, fp) :: entries);
-            incr fp_memo_size
-          end);
+          if Fp_memo.length fp_memo >= max_fp_entries then
+            Fp_memo.reset fp_memo;
+          Fp_memo.replace fp_memo t fp);
       fp
 
 (* Volatile: raced double-fills make hit/miss splits scheduling-dependent,
@@ -210,8 +200,7 @@ let set_enabled b =
       enabled_flag := b;
       if not b then begin
         Hashtbl.reset table;
-        Hashtbl.reset fp_memo;
-        fp_memo_size := 0
+        Fp_memo.reset fp_memo
       end)
 
 let is_enabled () = locked (fun () -> !enabled_flag)
@@ -276,8 +265,7 @@ let counters () =
 let reset () =
   locked (fun () ->
       Hashtbl.reset table;
-      Hashtbl.reset fp_memo;
-      fp_memo_size := 0;
+      Fp_memo.reset fp_memo;
       tick := 0;
       hit_count := 0;
       miss_count := 0;

@@ -59,88 +59,93 @@ let scalar_value t =
 (* Packing from COO                                                      *)
 (* -------------------------------------------------------------------- *)
 
-(** [pack ~name ~format coo] assembles the level-format representation from a
-    COO buffer.  Entries are canonicalised (sorted in mode order, duplicates
-    summed, zeros dropped) and then packed level by level: each level refines
-    the segment of entries owned by every parent position. *)
-let pack ~name ~format coo =
+(** [pack ?sorted ~name ~format coo] assembles the level-format
+    representation from a COO buffer.  Entries are put in storage order
+    ({!Coo.sort} under the format's mode order, unless the caller passes
+    that result as [sorted]) and canonicalised ({!Coo.canonical}:
+    duplicates summed in insertion order, zeros dropped).  One linear pass
+    then appends every entry to each level from the first level at which
+    its path leaves the previous entry's: a dense level places it at
+    [parent * dim + coordinate], a compressed level appends its coordinate
+    to [crd] and counts it in its parent's [pos] slot. *)
+let pack ?sorted ~name ~format coo =
   let dims = Coo.dims coo in
   let n = Array.length dims in
   if Format.order format <> n then
     invalid_arg "Tensor.pack: format order does not match tensor order";
-  let entries =
-    Coo.finalize_array ~mode_order:format.Format.mode_order coo
+  let kinds = Array.of_list format.Format.levels in
+  let level_dim =
+    Array.map (fun m -> dims.(m)) (Array.of_list format.Format.mode_order)
   in
-  let nentries = Array.length entries in
-  (* Permuted coordinate of entry [e] at level [l]. *)
-  let pcoord e l = (fst entries.(e)).(Format.dim_of_level format l) in
-  (* Invariant: [segments] lists, for every live position at the previous
-     level, the half-open range of entries it owns, in position order. *)
-  let segments = ref [| (0, nentries) |] in
+  let sorted =
+    match sorted with
+    | Some s -> s
+    | None -> Coo.sort ~mode_order:format.Format.mode_order coo
+  in
+  let keys, sums = Coo.canonical coo sorted in
+  let nu = Array.length sums in
+  (* The first level at which entry [k]'s path leaves entry [k - 1]'s;
+     [fresh.(l)] counts the entries that open a node at level [l]. *)
+  let fork k =
+    let l = ref 0 in
+    if k > 0 then
+      while keys.((k * n) + !l) = keys.(((k - 1) * n) + !l) do
+        incr l
+      done;
+    !l
+  in
+  let fresh = Array.make n 0 in
+  for k = 0 to nu - 1 do
+    for l = fork k to n - 1 do
+      fresh.(l) <- fresh.(l) + 1
+    done
+  done;
+  (* Exact sizes: positions per level, one pos slot per parent position. *)
+  let parents = Array.make (n + 1) 1 in
+  for l = 0 to n - 1 do
+    parents.(l + 1) <-
+      (match kinds.(l) with
+      | Format.Dense -> parents.(l) * level_dim.(l)
+      | Format.Compressed -> fresh.(l))
+  done;
+  let storage f =
+    Array.init n (fun l ->
+        match kinds.(l) with Format.Dense -> [||] | Format.Compressed -> f l)
+  in
+  let pos = storage (fun l -> Array.make (parents.(l) + 1) 0) in
+  let crd = storage (fun l -> Array.make fresh.(l) 0) in
+  let vals = Array.make parents.(n) 0.0 in
+  (* [at.(l)]: the current entry's position at level [l]; [filled.(l)]:
+     the coordinates appended to compressed level [l], whose [pos] first
+     counts each parent's children. *)
+  let at = Array.make n 0 and filled = Array.make n 0 in
+  for k = 0 to nu - 1 do
+    for l = fork k to n - 1 do
+      let parent = if l = 0 then 0 else at.(l - 1) and c = keys.((k * n) + l) in
+      match kinds.(l) with
+      | Format.Dense -> at.(l) <- (parent * level_dim.(l)) + c
+      | Format.Compressed ->
+          pos.(l).(parent + 1) <- pos.(l).(parent + 1) + 1;
+          crd.(l).(filled.(l)) <- c;
+          at.(l) <- filled.(l);
+          filled.(l) <- filled.(l) + 1
+    done;
+    vals.(at.(n - 1)) <- sums.(k)
+  done;
   let levels =
-    Array.of_list
-    @@ List.mapi
-         (fun l kind ->
-           let dim = dims.(Format.dim_of_level format l) in
-           match kind with
-           | Format.Dense ->
-               (* Expand every parent into [dim] children; partition each
-                  parent's entries by their coordinate at this level. *)
-               let next =
-                 Array.concat
-                   (Array.to_list
-                      (Array.map
-                         (fun (lo, hi) ->
-                           let children = Array.make dim (0, 0) in
-                           let start = ref lo in
-                           for c = 0 to dim - 1 do
-                             let s = !start in
-                             let e = ref s in
-                             while !e < hi && pcoord !e l = c do incr e done;
-                             children.(c) <- (s, !e);
-                             start := !e
-                           done;
-                           children)
-                         !segments))
-               in
-               segments := next;
-               Dense_level { dim }
-           | Format.Compressed ->
-               (* Record the distinct coordinates within every parent
-                  segment; children are the runs of equal coordinates. *)
-               let pos = Array.make (Array.length !segments + 1) 0 in
-               let crds = ref [] and children = ref [] and count = ref 0 in
-               Array.iteri
-                 (fun p (lo, hi) ->
-                   pos.(p) <- !count;
-                   let s = ref lo in
-                   while !s < hi do
-                     let c = pcoord !s l in
-                     let e = ref !s in
-                     while !e < hi && pcoord !e l = c do incr e done;
-                     crds := c :: !crds;
-                     children := (!s, !e) :: !children;
-                     incr count;
-                     s := !e
-                   done)
-                 !segments;
-               pos.(Array.length !segments) <- !count;
-               segments := Array.of_list (List.rev !children);
-               Compressed_level
-                 { pos; crd = Array.of_list (List.rev !crds) })
-         format.Format.levels
-  in
-  (* Each leaf position owns zero or one entry. *)
-  let vals =
-    Array.map
-      (fun (lo, hi) ->
-        assert (hi - lo <= 1);
-        if hi > lo then snd entries.(lo) else 0.0)
-      !segments
+    Array.init n (fun l ->
+        match kinds.(l) with
+        | Format.Dense -> Dense_level { dim = level_dim.(l) }
+        | Format.Compressed ->
+            let pos = pos.(l) in
+            for p = 1 to Array.length pos - 1 do
+              pos.(p) <- pos.(p) + pos.(p - 1)
+            done;
+            Compressed_level { pos; crd = crd.(l) })
   in
   { name; dims; format; levels; vals }
 
-let of_coo ~name ~format coo = pack ~name ~format coo
+let of_coo = pack
 
 (** Construct a tensor directly from raw level arrays — the form a backend
     writes out (e.g. the Capstan simulator's DRAM images).  Performs basic

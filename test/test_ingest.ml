@@ -203,6 +203,69 @@ let test_fuzz_burst () =
   Alcotest.(check (list string)) "no envelope escapes" [] stats.Ingest_fuzz.failures;
   Alcotest.(check int) "all cases ran" 60 stats.Ingest_fuzz.cases
 
+(* The outcome of every case of a long fuzz run — each reject's code,
+   message, line and span, each parse's fingerprint — pinned by digest.
+   Captured from the hash-table reader the sort-based one replaced. *)
+let test_fuzz_digest () =
+  let stats = Ingest_fuzz.run ~cases:2000 ~seed:42 () in
+  Alcotest.(check (list string)) "no envelope escapes" [] stats.Ingest_fuzz.failures;
+  Alcotest.(check (triple int int int))
+    "cases, parsed, rejected" (2000, 357, 1643)
+    (stats.Ingest_fuzz.cases, stats.Ingest_fuzz.ok, stats.Ingest_fuzz.rejected);
+  Alcotest.(check string)
+    "outcome digest" "c29d1f03eb79fc9bfd1629502d685fb9" stats.Ingest_fuzz.digest
+
+let outcome ~format name =
+  let path = fx name in
+  Ingest_fuzz.outcome_line ~path (Ingest.read_file_result ~format path)
+
+(* Outcomes pinned from the hash-table reader: a duplicate outranks a
+   malformed later line; a symmetric mirror collides at the explicit
+   entry's line; [int_of_string] syntax still parses and a 25-digit
+   coordinate still rejects with the same message. *)
+let test_pinned_outcomes () =
+  let csr = F.csr () in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name want (outcome ~format:csr name))
+    [
+      ("dup_then_malformed.mtx",
+       "E0213 \"duplicate entry (1, 1)\" line=5 span=68-76");
+      ("symmetric_mirror.mtx",
+       "E0213 \"duplicate entry (2, 1)\" line=5 span=70-78");
+      ("symmetric_dup.mtx",
+       "E0213 \"duplicate entry (1, 2)\" line=5 span=70-78");
+      ("duplicate.mtx", "E0213 \"duplicate entry (1, 1)\" line=5 span=68-76");
+      ("odd_ints.mtx", "ok mtx|12x12|csr:01|4|f4cb6d6a0b2de1bf");
+      ("long_int.mtx",
+       "E0212 \"coordinate (mode 0) is not an integer: \\\"1000000000000000000000001\\\"\" \
+        line=3 span=52-84");
+    ];
+  Alcotest.(check string)
+    "dup.tns" "E0213 \"duplicate entry 1 1\" line=3 span=-"
+    (outcome ~format:(F.csf 2) "dup.tns");
+  match Ingest.read_file_result ~format:csr (fx "odd_ints.mtx") with
+  | Error _ -> Alcotest.fail "odd_ints.mtx rejected"
+  | Ok t ->
+      Alcotest.(check (list (pair (array int) (float 0.0))))
+        "+2 0x2, 1_0, 0x0b 007, 19-digit zero-padded"
+        [ ([| 1; 1 |], 1.0); ([| 9; 2 |], 2.0); ([| 10; 6 |], 3.0);
+          ([| 11; 0 |], 4.0) ]
+        (T.to_entries t)
+
+(* A 10^12 x 10^12 header with one entry, all-compressed: the sort's
+   buckets stay small whatever the dimensions, so the read allocates
+   next to nothing. *)
+let test_huge_dims () =
+  let format = F.make [ F.Compressed; F.Compressed ] in
+  let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let got = outcome ~format "huge_dims.mtx" in
+  let words = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check string)
+    "parses" "ok mtx|1000000000000x1000000000000|csf2:01|1|d10e4b1d781ec3ed" got;
+  if words > 100_000.0 then
+    Alcotest.failf "reading one entry allocated %.0f words" words
+
 (* ------------------------------------------------------------------ *)
 (* Write -> read round-trips (QCheck)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -379,6 +442,10 @@ let suite =
     Alcotest.test_case "fd gauge returns to zero" `Quick test_fd_balance;
     Alcotest.test_case "mutation fuzz burst: no escapes" `Quick
       test_fuzz_burst;
+    Alcotest.test_case "fuzz outcome digest is pinned" `Quick test_fuzz_digest;
+    Alcotest.test_case "pinned fixture outcomes" `Quick test_pinned_outcomes;
+    Alcotest.test_case "10^12 dims parse in bounded memory" `Quick
+      test_huge_dims;
     QCheck_alcotest.to_alcotest prop_mtx_roundtrip;
     QCheck_alcotest.to_alcotest prop_tns_roundtrip;
     Alcotest.test_case "tile: restrict slices and remaps" `Quick

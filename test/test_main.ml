@@ -4,6 +4,7 @@ let () =
   Alcotest.run "stardust"
     [
       ("tensor", Test_tensor.suite);
+      ("pack", Test_pack.suite);
       ("stats_cache", Test_stats_cache.suite);
       ("ir", Test_ir.suite);
       ("schedule", Test_schedule.suite);

@@ -21,7 +21,6 @@ module Json = Stardust_json.Json
 module Metrics = Stardust_obs.Metrics
 
 let num = Metrics.number_to_string
-let esc = Stardust_obs.Trace.json_escape
 
 let find_specs names =
   match names with
@@ -39,15 +38,17 @@ let instance_json (r : Suite.run) ~wall =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "{\"kernel\":\"%s\",\"dataset\":\"%s\""
-       (esc (String.lowercase_ascii r.Suite.spec.K.kname))
-       (esc r.Suite.instance));
+       (Json.escape (String.lowercase_ascii r.Suite.spec.K.kname))
+       (Json.escape r.Suite.instance));
   (* per-platform analytic seconds (all deterministic models) *)
   Buffer.add_string buf ",\"platform_seconds\":{";
   List.iteri
     (fun i (p, s) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%s" (esc (Suite.platform_name p)) (num s)))
+        (Printf.sprintf "\"%s\":%s"
+           (Json.escape (Suite.platform_name p))
+           (num s)))
     r.Suite.seconds;
   Buffer.add_char buf '}';
   (* deterministic Capstan (HBM2E) cycle counters, summed over stages *)
@@ -73,7 +74,7 @@ let instance_json (r : Suite.run) ~wall =
         (Printf.sprintf
            "{\"pcu\":%d,\"pmu\":%d,\"mc\":%d,\"shuffle\":%d,\"limiting\":\"%s\"}"
            u.Resources.pcu u.Resources.pmu u.Resources.mc u.Resources.shuffle
-           (esc u.Resources.limiting)))
+           (Json.escape u.Resources.limiting)))
     r.Suite.compiled;
   Buffer.add_char buf ']';
   (* wall clock: the one non-deterministic field; perf_diff ignores it *)
@@ -336,7 +337,7 @@ let perf_diff ?(sections = all_sections) base_path new_path =
   if want "search-efficiency" then
     (* one entry per kernel/strategy pair; every field but wall-clock is
        deterministic, so the frontier-exactness bit and the evaluation
-       budgets of the budgeted strategies are pinned by CI *)
+       budget of halving are pinned by CI *)
     diff_string_keyed_section ~section:"search-efficiency"
       ~key_of:(fun e ->
         Json.to_str (Json.member_exn "kernel" e)

@@ -1,10 +1,8 @@
-(** Search-efficiency benchmark: evaluation budgets of the budgeted
-    autotune strategies against exhaustive enumeration.
+(** Search-efficiency benchmark: the evaluation budget of bound-guided
+    successive halving against exhaustive enumeration.
 
     For each paper kernel the wide {!Stardust_explore.Space.efficiency_axes}
-    grid is searched four ways — exhaustive, bound-guided successive
-    halving, the linear surrogate, and population annealing — and each
-    run reports how many full estimator walks it spent, whether its
+    grid is searched both ways, and each run reports how many full estimator walks it spent, whether its
     Pareto frontier is point-identical to exhaustive enumeration's, and
     whether it stayed within a tenth of exhaustive's evaluations.
 
@@ -26,18 +24,13 @@ module Metrics = Stardust_obs.Metrics
 let scale = 256
 let kernels = [ "spmv"; "sddmm"; "plus3" ]
 
-(* Pinned budgets: the tightest values at which each strategy still
-   reproduces the exact exhaustive frontier on every kernel above (with
-   headroom of a few evaluations).  Anneal is informational — a local
-   search over a 321-point grid is not expected to recover the whole
-   frontier — but its trajectory is seeded and deterministic, so its
-   counters pin all the same. *)
+(* Pinned budget: the tightest value at which halving still reproduces
+   the exact exhaustive frontier on every kernel above (with headroom of
+   a few evaluations). *)
 let strategies =
   [
     ("exhaustive", Explore.Exhaustive, None);
     ("halving", Explore.Halving, Some 24);
-    ("surrogate", Explore.Surrogate, Some 28);
-    ("anneal", Explore.Anneal { seed = 42 }, Some 36);
   ]
 
 type row = {
@@ -129,7 +122,7 @@ let rows_json rows =
 (** Standalone [bench search-efficiency]: human-readable table. *)
 let run () =
   let rows = measure () in
-  Fmt.pr "@.== Search efficiency: budgeted strategies vs exhaustive (n=%d) ==@."
+  Fmt.pr "@.== Search efficiency: halving vs exhaustive (n=%d) ==@."
     scale;
   Fmt.pr "%-8s %-11s %7s %6s %10s %7s %9s %7s %7s@." "kernel" "strategy"
     "budget" "cand" "estimates" "bounds" "frontier" "exact" "<=10%";

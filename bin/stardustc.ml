@@ -23,6 +23,7 @@ module Dram = Stardust_capstan.Dram
 module Resources = Stardust_capstan.Resources
 module Imp = Stardust_vonneumann.Imp_interp
 module Diag = Stardust_diag.Diag
+module Json = Stardust_json.Json
 module Fallback = Stardust_driver.Fallback
 module D = Stardust_workloads.Datasets
 module Explore = Stardust_explore.Explore
@@ -437,33 +438,21 @@ let autotune_cmd =
   let strategy =
     Arg.(value & opt string "grid"
          & info [ "strategy" ] ~docv:"STRATEGY"
-             ~doc:"Search strategy: exhaustive $(b,grid), $(b,greedy) \
-                   coordinate descent, seeded $(b,random) sampling, \
-                   bound-guided successive $(b,halving), population \
-                   $(b,anneal)ing, or the linear-$(b,surrogate) ranker. \
-                   The budgeted strategies ($(b,halving), $(b,anneal), \
-                   $(b,surrogate)) cap full simulator evaluations at \
+             ~doc:"Search strategy: $(b,grid) (alias $(b,exhaustive)) \
+                   evaluates every candidate; bound-guided successive \
+                   $(b,halving) caps full simulator evaluations at \
                    $(b,--budget).")
   in
   let budget =
     Arg.(value & opt int 0
          & info [ "budget" ] ~docv:"N"
-             ~doc:"Maximum number of full simulator evaluations for the \
-                   budgeted strategies (0 = the strategy's own default; \
-                   exhaustive/greedy/random ignore it).")
+             ~doc:"Maximum number of full simulator evaluations (0 = the \
+                   strategy's own default: uncapped for exhaustive).")
   in
   let workers =
     Arg.(value & opt int 0
          & info [ "workers" ]
              ~doc:"Domain worker pool size (0 = one per available core).")
-  in
-  let samples =
-    Arg.(value & opt int 64
-         & info [ "samples" ] ~doc:"Sample count for --strategy random.")
-  in
-  let seed =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~doc:"PRNG seed for --strategy random/anneal.")
   in
   let splits =
     Arg.(value & opt (list int) []
@@ -481,7 +470,7 @@ let autotune_cmd =
          & info [ "json" ] ~doc:"Emit the result as JSON on stdout.")
   in
   let run kname scale expr formats data data_root max_nnz max_bytes strategy
-      budget workers samples seed splits regions json trace no_stats_cache =
+      budget workers splits regions json trace no_stats_cache =
     start_tracing trace;
     apply_stats_cache no_stats_cache;
     let problem =
@@ -522,7 +511,7 @@ let autotune_cmd =
         ~formats:problem.Eval.formats problem.Eval.expr
     in
     let strategy =
-      match W.strategy_of_string ~samples ~seed strategy with
+      match W.strategy_of_string strategy with
       | Ok s -> s
       | Error msg ->
           Fmt.epr "autotune: %s@." msg;
@@ -531,7 +520,7 @@ let autotune_cmd =
     let budget = if budget > 0 then Some budget else None in
     let workers = if workers <= 0 then None else Some workers in
     let r = Explore.run ?workers ~strategy ?budget ~axes problem in
-    if json then Fmt.pr "%s@." (Explore.to_json r)
+    if json then print_endline (Json.to_string (Explore.json r))
     else Fmt.pr "%a" Explore.pp_result r
   in
   Cmd.v
@@ -540,7 +529,7 @@ let autotune_cmd =
              and print the Pareto frontier over (cycles, chip resources).")
     Term.(const run $ kname_arg $ scale $ expr $ formats $ data
           $ data_root_flag $ max_nnz_flag $ max_ingest_bytes_flag $ strategy
-          $ budget $ workers $ samples $ seed $ splits $ regions $ json
+          $ budget $ workers $ splits $ regions $ json
           $ trace_flag $ no_stats_cache_flag)
 
 (* ------------------------------------------------------------------ *)
@@ -645,7 +634,7 @@ let profile_cmd =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"expr\":\"%s\",\"cycles\":%s,\"compute_cycles\":%s,\"dram_cycles\":%s,\"seconds\":%s,\"profile\":%s}"
-               (Trace.json_escape label)
+               (Json.escape label)
                (Metrics.number_to_string p.Sim.preport.Sim.cycles)
                (Metrics.number_to_string p.Sim.preport.Sim.compute_cycles)
                (Metrics.number_to_string p.Sim.preport.Sim.dram_cycles)

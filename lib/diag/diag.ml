@@ -5,13 +5,15 @@
     it, a stable error code, a human message, an optional source span (the
     expression parser tracks character offsets), and free-form key/value
     context.  Diagnostics render two ways — caret-annotated text for
-    terminals ({!render}) and JSON for tooling ({!to_json}) — and are
+    terminals ({!render}) and JSON for tooling ({!json}) — and are
     accumulated by a {!Collector} so one compilation can report several
     problems instead of dying at the first.
 
     This library sits below every other Stardust library (it depends only
-    on [fmt]) so that any stage can produce diagnostics without dependency
-    cycles. *)
+    on [fmt] and the dependency-free [stardust_json]) so that any stage
+    can produce diagnostics without dependency cycles. *)
+
+module Json = Stardust_json.Json
 
 type severity = Error | Warning | Note
 
@@ -219,50 +221,32 @@ let render_string ?src d = Fmt.str "@[<v>%a@]" (render ?src) d
 (* JSON rendering                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(** The diagnostic as a JSON object: severity, stage, code and message,
+    then [span] and [context] when present. *)
+let json d =
+  Json.Obj
+    ([
+       ("severity", Json.Str (severity_name d.severity));
+       ("stage", Json.Str (stage_name d.stage));
+       ("code", Json.Str d.code);
+       ("message", Json.Str d.message);
+     ]
+    @ (match d.span with
+      | Some { start; stop } ->
+          [
+            ( "span",
+              Json.Obj [ ("start", Json.int start); ("stop", Json.int stop) ] );
+          ]
+      | None -> [])
+    @
+    match d.context with
+    | [] -> []
+    | ctx ->
+        let ctx = List.map (fun (k, v) -> (k, Json.Str v)) ctx in
+        [ ("context", Json.Obj ctx) ])
 
-let to_json d =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"severity\":\"%s\",\"stage\":\"%s\",\"code\":\"%s\",\"message\":\"%s\""
-       (severity_name d.severity) (stage_name d.stage) (json_escape d.code)
-       (json_escape d.message));
-  (match d.span with
-  | Some { start; stop } ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"span\":{\"start\":%d,\"stop\":%d}" start stop)
-  | None -> ());
-  (match d.context with
-  | [] -> ()
-  | ctx ->
-      Buffer.add_string buf ",\"context\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-        ctx;
-      Buffer.add_char buf '}');
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-let list_to_json ds =
-  "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+let to_json d = Json.to_string (json d)
+let list_to_json ds = Json.to_string (Json.Arr (List.map json ds))
 
 (* ------------------------------------------------------------------ *)
 (* Collector                                                           *)

@@ -9,11 +9,10 @@
 
     Evaluations are memoised in a {!Pool.Cache} keyed by a canonical
     fingerprint of (expression, formats, point, dataset statistics,
-    machine configuration): identical queries across search strategies —
-    greedy descent revisits its pivot point once per sweep — or across
-    repeated [run]s sharing a cache return the stored result.  Evaluation
-    is pure, so memoisation cannot change any search outcome, only its
-    cost. *)
+    machine configuration): identical queries across search strategies
+    or across repeated [run]s sharing a cache return the stored result.
+    Evaluation is pure, so memoisation cannot change any search outcome,
+    only its cost. *)
 
 module Tensor = Stardust_tensor.Tensor
 module Format = Stardust_tensor.Format
@@ -188,28 +187,6 @@ let lower_bound (pre : prepared) (pt : Point.t) =
     ~streamed_elems:pre.bound.bc_streamed
     ~occupancy:(occupancy pre ~inner_par:pt.Point.inner_par)
     ~outer_par:pt.Point.outer_par ~inner_par:pt.Point.inner_par ()
-
-(** Surrogate features of one point: log-scaled parallelism products,
-    the log fiber-launch trip count at the point's vector width, and
-    the format/memory flags.  Purely structural — no simulation. *)
-let features (pre : prepared) (pt : Point.t) =
-  let log2 x = Float.log x /. Float.log 2.0 in
-  let op = float_of_int (max 1 pt.Point.outer_par)
-  and ip = float_of_int (max 1 pt.Point.inner_par) in
-  [|
-    1.0;
-    log2 op;
-    log2 ip;
-    log2 (op *. ip);
-    log2 (1.0 +. occupancy pre ~inner_par:pt.Point.inner_par);
-    (match pt.Point.gather with Point.On_chip -> 1.0 | _ -> 0.0);
-    (match pt.Point.gather with Point.Off_chip -> 1.0 | _ -> 0.0);
-    (match pt.Point.split with None -> 0.0 | Some _ -> 1.0);
-    (match pt.Point.split with
-    | None -> 0.0
-    | Some (_, c) -> log2 (float_of_int (max 1 c)));
-    (match pt.Point.order with None -> 0.0 | Some _ -> 1.0);
-  |]
 
 type outcome =
   | Feasible of { report : Sim.report; usage : Resources.usage }

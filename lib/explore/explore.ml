@@ -6,57 +6,35 @@
     {!Stardust_capstan.Sim.estimate} on a {!Pool} of OCaml domains →
     {!Pareto} keeps the (cycles, chip-resources) frontier.
 
-    Six strategies share that pipeline:
+    Two strategies share that pipeline:
 
-    - {b exhaustive} grid: every candidate, evaluated in parallel;
-    - {b greedy} coordinate descent: start at the heuristic seed, sweep
-      one axis at a time (evaluating each axis's alternatives as one
-      parallel batch), move to the axis's best point, repeat to fixpoint;
-    - {b random} search: a seeded {!Stardust_workloads.Prng} draw of N
-      candidates (plus the heuristic seed) — reproducible bit-for-bit,
-      never [Random.self_init];
+    - {b exhaustive} grid: every candidate, evaluated in parallel — the
+      reference answer, and the only strategy that is right on every
+      space;
     - {b halving} (racing): the stats-only admissible bound
       {!Eval.lower_bound} ranks every candidate within its resource
       group ({!Point.resource_signature}); rungs promote each group's
       best-ranked survivor to a full evaluation until the group's
-      champion provably beats everything still queued;
-    - {b anneal}: population annealing over the axes — seeded mutation
-      and crossover moves from the heuristic point, batch-evaluated per
-      round with Metropolis acceptance on a geometric cooling ladder;
-    - {b surrogate}: a hand-rolled ridge least-squares fit on the
-      features of visited points predicts log-cycles for the unvisited
-      pool and steers which candidate each resource group promotes next,
-      refit after every round.
+      champion provably beats everything still queued.  It honors a
+      {b budget} — a hard cap on distinct points promoted to full
+      evaluation — and spends stats-only bounds (three orders of
+      magnitude cheaper) to decide where the budget goes.
 
-    The last three honor a {b budget} — a hard cap on distinct points
-    promoted to full evaluation — and spend stats-only lower bounds
-    (three orders of magnitude cheaper) to decide where the budget goes.
-
-    Every strategy is deterministic and independent of the worker count:
+    Both are deterministic and independent of the worker count:
     candidates are enumerated in a fixed order, batches preserve input
     order ({!Pool.map}), budget accounting happens before batches fan
     out, and memoisation only short-circuits recomputation of a pure
     function. *)
 
-module Prng = Stardust_workloads.Prng
+module Json = Stardust_json.Json
 module Sim = Stardust_capstan.Sim
 module Resources = Stardust_capstan.Resources
 
-type strategy =
-  | Exhaustive
-  | Greedy
-  | Random of { samples : int; seed : int }
-  | Halving
-  | Anneal of { seed : int }
-  | Surrogate
+type strategy = Exhaustive | Halving
 
 let strategy_name = function
   | Exhaustive -> "exhaustive"
-  | Greedy -> "greedy"
-  | Random _ -> "random"
   | Halving -> "halving"
-  | Anneal _ -> "anneal"
-  | Surrogate -> "surrogate"
 
 type result = {
   problem : Eval.problem;
@@ -106,65 +84,7 @@ let dedup evals =
     evals
 
 (* ------------------------------------------------------------------ *)
-(* Strategies                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Greedy coordinate descent over the axes record.  Each sweep re-places
-   one coordinate at a time; the sweep's batches are evaluated in
-   parallel and the pivot moves to the best feasible alternative (ties:
-   earlier axis value).  Stops when a full sweep leaves the pivot
-   unchanged, or after [max_sweeps] as a guard. *)
-let greedy ~eval_batch ~(axes : Space.axes) (start : Point.t) =
-  let max_sweeps = 8 in
-  let trail = ref [] in
-  let better (cur_pt, cur_cy) (e : Eval.eval) =
-    match Eval.cycles e with
-    | Some c when c < cur_cy -> (e.Eval.point, c)
-    | _ -> (cur_pt, cur_cy)
-  in
-  (* Variant builders take the current pivot so each axis's batch keeps
-     the coordinates already settled earlier in the sweep. *)
-  let axis_variants : (Point.t -> Point.t list) list =
-    [
-      (fun pt -> List.map (fun o -> { pt with Point.order = o }) axes.Space.orders);
-      (fun pt ->
-        List.map (fun p -> { pt with Point.outer_par = p }) axes.Space.outer_pars);
-      (fun pt ->
-        List.map (fun p -> { pt with Point.inner_par = p }) axes.Space.inner_pars);
-      (fun pt -> List.map (fun s -> { pt with Point.split = s }) axes.Space.splits);
-      (fun pt -> List.map (fun g -> { pt with Point.gather = g }) axes.Space.gathers);
-    ]
-  in
-  let sweep_axis (pt, cy) mk_variants =
-    let batch =
-      List.filter
-        (fun (v : Point.t) -> Point.fingerprint v <> Point.fingerprint pt)
-        (mk_variants pt)
-    in
-    if batch = [] then (pt, cy)
-    else begin
-      let evals = eval_batch batch in
-      trail := List.rev_append evals !trail;
-      List.fold_left better (pt, cy) evals
-    end
-  in
-  let start_eval = List.hd (eval_batch [ start ]) in
-  trail := [ start_eval ];
-  let start_cycles =
-    match Eval.cycles start_eval with Some c -> c | None -> infinity
-  in
-  let rec sweeps n (pt, cy) =
-    if n >= max_sweeps then (pt, cy)
-    else
-      let next = List.fold_left sweep_axis (pt, cy) axis_variants in
-      if Point.fingerprint (fst next) = Point.fingerprint pt then next
-      else sweeps (n + 1) next
-  in
-  ignore (sweeps 0 (start, start_cycles));
-  List.rev !trail
-
-(* ------------------------------------------------------------------ *)
-(* Budgeted strategies                                                 *)
+(* Halving                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Candidates bucketed by resource signature, in first-occurrence
@@ -295,301 +215,6 @@ let halving ~eval_batch ~remaining ~bound all =
   rung ();
   by_enum_order !collected
 
-(* Ridge least-squares fit (normal equations, Gaussian elimination with
-   partial pivoting).  Hand-rolled: no external dependency.  Returns
-   [None] when there are fewer rows than features or the system is
-   (numerically) singular despite the ridge term. *)
-let fit_least_squares rows =
-  match rows with
-  | [] -> None
-  | (f0, _) :: _ ->
-      let d = Array.length f0 in
-      if List.length rows < d + 1 then None
-      else begin
-        let a = Array.make_matrix d d 0.0 and b = Array.make d 0.0 in
-        List.iter
-          (fun (f, y) ->
-            for i = 0 to d - 1 do
-              b.(i) <- b.(i) +. (f.(i) *. y);
-              for j = 0 to d - 1 do
-                a.(i).(j) <- a.(i).(j) +. (f.(i) *. f.(j))
-              done
-            done)
-          rows;
-        for i = 0 to d - 1 do
-          a.(i).(i) <- a.(i).(i) +. 1e-6
-        done;
-        let singular = ref false in
-        for col = 0 to d - 1 do
-          (* partial pivot *)
-          let piv = ref col in
-          for r = col + 1 to d - 1 do
-            if Float.abs a.(r).(col) > Float.abs a.(!piv).(col) then piv := r
-          done;
-          if !piv <> col then begin
-            let t = a.(col) in
-            a.(col) <- a.(!piv);
-            a.(!piv) <- t;
-            let t = b.(col) in
-            b.(col) <- b.(!piv);
-            b.(!piv) <- t
-          end;
-          if Float.abs a.(col).(col) < 1e-12 then singular := true
-          else
-            for r = col + 1 to d - 1 do
-              let m = a.(r).(col) /. a.(col).(col) in
-              for c = col to d - 1 do
-                a.(r).(c) <- a.(r).(c) -. (m *. a.(col).(c))
-              done;
-              b.(r) <- b.(r) -. (m *. b.(col))
-            done
-        done;
-        if !singular then None
-        else begin
-          let theta = Array.make d 0.0 in
-          for i = d - 1 downto 0 do
-            let s = ref b.(i) in
-            for j = i + 1 to d - 1 do
-              s := !s -. (a.(i).(j) *. theta.(j))
-            done;
-            theta.(i) <- !s /. a.(i).(i)
-          done;
-          Some theta
-        end
-      end
-
-let dot theta f =
-  let s = ref 0.0 in
-  Array.iteri (fun i x -> s := !s +. (x *. f.(i))) theta;
-  !s
-
-(* Linear-surrogate search.  The model predicts the *residual* of the
-   admissible lower bound — [log2 cycles - log2 bound] — rather than raw
-   log-cycles: the bound already carries the structural shape of the cost
-   (parallelism scaling, occupancy, the DRAM floor), so the regression
-   only has to learn the simulator's correction on top of it, which keeps
-   the fit well conditioned on the handful of rows a tight budget allows.
-   A deterministic strided bootstrap (the seed plus every [stride]-th
-   candidate) gives the first fit its rows; each round then refits on the
-   visited feasible points and every resource group promotes its
-   unvisited candidate with the lowest predicted cost
-   [log2 bound + residual].  Until enough rows exist — or if the system
-   is singular — the bound alone ranks (residual 0), so the strategy
-   degrades to bound-guided racing rather than random choice.  Group
-   members arrive sorted (bound asc, inner-par desc, index asc) and score
-   ties keep the earlier member, matching the racing strategy's
-   preference. *)
-let surrogate ~eval_batch ~remaining ~bound ~feats all =
-  let n = List.length all in
-  let groups = resource_groups ~bound all in
-  let log2_bound b = Float.log (Float.max b 1.0) /. Float.log 2.0 in
-  let visited = Hashtbl.create 64 in
-  let rows = ref [] and collected = ref [] in
-  let submit cands =
-    (* cands : (idx, point, bound) list; returns how many were new *)
-    let fresh =
-      List.filter
-        (fun (_, pt, _) -> not (Hashtbl.mem visited (Point.fingerprint pt)))
-        cands
-    in
-    if fresh = [] then 0
-    else begin
-      let evals = eval_batch (List.map (fun (_, pt, _) -> pt) fresh) in
-      let by_fp = Hashtbl.create 16 in
-      List.iter
-        (fun (e : Eval.eval) ->
-          Hashtbl.replace by_fp (Point.fingerprint e.Eval.point) e)
-        evals;
-      List.fold_left
-        (fun count (i, pt, b) ->
-          match Hashtbl.find_opt by_fp (Point.fingerprint pt) with
-          | None -> count (* dropped by the budget *)
-          | Some e ->
-              Hashtbl.replace visited (Point.fingerprint pt) ();
-              collected := (i, e) :: !collected;
-              (match Eval.cycles e with
-              | Some c ->
-                  rows :=
-                    ( feats pt,
-                      (Float.log c /. Float.log 2.0) -. log2_bound b )
-                    :: !rows
-              | None -> ());
-              count + 1)
-        0 fresh
-    end
-  in
-  (* bootstrap: seed (index 0) + a strided sample across the enumeration;
-     candidates carry their real bound so the residual rows are exact *)
-  let bound_of = Hashtbl.create n in
-  List.iter
-    (List.iter (fun (_, pt, b) ->
-         Hashtbl.replace bound_of (Point.fingerprint pt) b))
-    groups;
-  let indexed =
-    Array.of_list
-      (List.mapi
-         (fun i pt -> (i, pt, Hashtbl.find bound_of (Point.fingerprint pt)))
-         all)
-  in
-  let boot_k = min 8 (max 4 (n / 32)) in
-  let stride = max 1 (n / max 1 boot_k) in
-  let boot =
-    List.init boot_k (fun j ->
-        indexed.(min (n - 1) (j * stride)))
-  in
-  ignore (submit boot);
-  let rec rounds () =
-    if remaining () <= 0 || Hashtbl.length visited >= n then ()
-    else begin
-      let theta = fit_least_squares !rows in
-      let score (_, pt, b) =
-        log2_bound b
-        +. (match theta with Some th -> dot th (feats pt) | None -> 0.0)
-      in
-      let picks =
-        List.filter_map
-          (fun members ->
-            let unvisited =
-              List.filter
-                (fun (_, pt, _) ->
-                  not (Hashtbl.mem visited (Point.fingerprint pt)))
-                members
-            in
-            match unvisited with
-            | [] -> None
-            | first :: rest ->
-                Some
-                  (List.fold_left
-                     (fun best c ->
-                       if score c < score best then c else best)
-                     first rest))
-          groups
-      in
-      if picks = [] || submit picks = 0 then ()
-      else rounds ()
-    end
-  in
-  rounds ();
-  by_enum_order !collected
-
-(* Population annealing.  Four walkers start at the heuristic seed and
-   its first mutations; each round every walker proposes one move — a
-   single-axis mutation, or with probability 1/4 a crossover with the
-   population's best point — the proposals are evaluated as one parallel
-   batch, and Metropolis acceptance (on relative cycle regression, with
-   geometric cooling) decides each walker's next position in a fixed
-   sequential order.  All randomness comes from one [Prng] stream drawn
-   on the driver thread, so the trajectory is bit-identical at any
-   worker count. *)
-let anneal ~eval_batch ~remaining ~(axes : Space.axes) ~seed start =
-  let rng = Prng.create seed in
-  let pick l =
-    match l with [] -> None | _ -> Some (List.nth l (Prng.int rng (List.length l)))
-  in
-  let mutate (pt : Point.t) =
-    match Prng.int rng 5 with
-    | 0 -> (
-        match pick axes.Space.orders with
-        | Some o -> { pt with Point.order = o }
-        | None -> pt)
-    | 1 -> (
-        match pick axes.Space.outer_pars with
-        | Some p -> { pt with Point.outer_par = p }
-        | None -> pt)
-    | 2 -> (
-        match pick axes.Space.inner_pars with
-        | Some p -> { pt with Point.inner_par = p }
-        | None -> pt)
-    | 3 -> (
-        match pick axes.Space.splits with
-        | Some s -> { pt with Point.split = s }
-        | None -> pt)
-    | _ -> (
-        match pick axes.Space.gathers with
-        | Some g -> { pt with Point.gather = g }
-        | None -> pt)
-  in
-  let crossover (a : Point.t) (b : Point.t) =
-    {
-      Point.order = (if Prng.bool rng 0.5 then a.Point.order else b.Point.order);
-      outer_par = (if Prng.bool rng 0.5 then a.Point.outer_par else b.Point.outer_par);
-      inner_par = (if Prng.bool rng 0.5 then a.Point.inner_par else b.Point.inner_par);
-      split = (if Prng.bool rng 0.5 then a.Point.split else b.Point.split);
-      gather = (if Prng.bool rng 0.5 then a.Point.gather else b.Point.gather);
-    }
-  in
-  let trail = ref [] in
-  let eval_all pts =
-    let evals = eval_batch pts in
-    trail := List.rev_append evals !trail;
-    let by_fp = Hashtbl.create 16 in
-    List.iter
-      (fun (e : Eval.eval) ->
-        Hashtbl.replace by_fp (Point.fingerprint e.Eval.point) e)
-      evals;
-    fun pt -> Hashtbl.find_opt by_fp (Point.fingerprint pt)
-  in
-  (* initial population: the heuristic seed and three mutations of it *)
-  let init = start :: List.init 3 (fun _ -> mutate start) in
-  let lookup = eval_all init in
-  let cycles_of pt =
-    match lookup pt with Some e -> Eval.cycles e | None -> None
-  in
-  let population =
-    ref (List.map (fun pt -> (pt, cycles_of pt)) init)
-  in
-  let best = ref None in
-  let consider (pt, c) =
-    match (c, !best) with
-    | Some c, None -> best := Some (pt, c)
-    | Some c, Some (_, bc) when c < bc -> best := Some (pt, c)
-    | _ -> ()
-  in
-  List.iter consider !population;
-  let temperature = ref 0.25 in
-  let stale = ref 0 in
-  let rec round () =
-    if remaining () <= 0 || !stale >= 8 then ()
-    else begin
-      let proposals =
-        List.map
-          (fun (pt, _) ->
-            match !best with
-            | Some (bpt, _) when Prng.bool rng 0.25 -> crossover pt bpt
-            | _ -> mutate pt)
-          !population
-      in
-      (* progress = budget actually consumed: proposals that only revisit
-         memoised points can recur forever once the walkers' reachable
-         neighborhood is exhausted, so staleness must watch spending *)
-      let before = remaining () in
-      let lookup = eval_all proposals in
-      stale := (if remaining () < before then 0 else !stale + 1);
-      population :=
-        List.map2
-          (fun (pt, c) prop ->
-            let pc =
-              match lookup prop with Some e -> Eval.cycles e | None -> None
-            in
-            consider (prop, pc);
-            match (pc, c) with
-            | Some pc', None -> (prop, Some pc')
-            | Some pc', Some c' ->
-                let accept =
-                  pc' <= c'
-                  || Prng.float rng
-                     < Float.exp (-.(pc' -. c') /. (!temperature *. c'))
-                in
-                if accept then (prop, Some pc') else (pt, c)
-            | None, _ -> (pt, c))
-          !population proposals;
-      temperature := !temperature *. 0.85;
-      round ()
-    end
-  in
-  round ();
-  List.rev !trail
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -605,11 +230,9 @@ let anneal ~eval_batch ~remaining ~(axes : Space.axes) ~seed start =
     [budget] caps the number of {e distinct points} promoted to a full
     evaluation (the heuristic seed is always submitted first and counts).
     Points beyond the cap are dropped deterministically in submission
-    order, so a budgeted run is bit-identical at any worker count.  The
-    budgeted strategies pick their own default when none is given —
-    halving two rungs per resource group, surrogate three rounds plus
-    its bootstrap, anneal 64 — while exhaustive/greedy/random stay
-    uncapped unless a budget is passed explicitly. *)
+    order, so a budgeted run is bit-identical at any worker count.
+    Halving defaults to two rungs per resource group (plus slack);
+    exhaustive stays uncapped unless a budget is passed explicitly. *)
 let run ?workers ?pool ?(strategy = Exhaustive) ?budget ?axes ?cache
     (p : Eval.problem) =
   let workers =
@@ -639,9 +262,7 @@ let run ?workers ?pool ?(strategy = Exhaustive) ?budget ?axes ?cache
     match (budget, strategy) with
     | Some b, _ -> Some (max 1 b)
     | None, Halving -> Some ((2 * group_count) + 4)
-    | None, Surrogate -> Some ((3 * group_count) + 8)
-    | None, Anneal _ -> Some 64
-    | None, (Exhaustive | Greedy | Random _) -> None
+    | None, Exhaustive -> None
   in
   (* The budget gate: new fingerprints are admitted until the cap, then
      dropped; already-submitted points always pass (they are memoised
@@ -680,23 +301,7 @@ let run ?workers ?pool ?(strategy = Exhaustive) ?budget ?axes ?cache
   let evaluated =
     match strategy with
     | Exhaustive -> eval_batch all
-    | Greedy -> dedup (greedy ~eval_batch ~axes seed_pt)
-    | Random { samples; seed } ->
-        let arr = Array.of_list all in
-        let rng = Prng.create seed in
-        let picks =
-          List.init (max 0 samples) (fun _ ->
-              arr.(Prng.int rng (Array.length arr)))
-        in
-        dedup (eval_batch (seed_pt :: picks))
     | Halving -> dedup (seed_eval :: halving ~eval_batch ~remaining ~bound all)
-    | Surrogate ->
-        dedup
-          (seed_eval
-          :: surrogate ~eval_batch ~remaining ~bound
-               ~feats:(Eval.features pre) all)
-    | Anneal { seed } ->
-        dedup (anneal ~eval_batch ~remaining ~axes ~seed seed_pt)
   in
   let pruned =
     List.length
@@ -764,51 +369,41 @@ let pp_result ppf (r : result) =
   | Some b, None -> Fmt.pf ppf "best: %a@." pp_eval b
   | None, _ -> Fmt.pf ppf "no feasible point in the search space@."
 
-(* Minimal JSON rendering (no external dependency). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_point (pt : Point.t) =
-  Fmt.str
-    "{\"order\": %s, \"outer_par\": %d, \"inner_par\": %d, \"split\": %s, \
-     \"gather\": \"%s\"}"
-    (match pt.Point.order with
-    | None -> "null"
-    | Some o -> Fmt.str "\"%s\"" (json_escape (String.concat "," o)))
-    pt.Point.outer_par pt.Point.inner_par
-    (match pt.Point.split with
-    | None -> "null"
-    | Some (v, c) -> Fmt.str "{\"var\": \"%s\", \"tile\": %d}" (json_escape v) c)
-    (match pt.Point.gather with
-    | Point.Auto -> "auto"
-    | Point.On_chip -> "on_chip"
-    | Point.Off_chip -> "off_chip")
+  Json.Obj
+    [
+      ( "order",
+        match pt.Point.order with
+        | None -> Json.Null
+        | Some o -> Json.Str (String.concat "," o) );
+      ("outer_par", Json.int pt.Point.outer_par);
+      ("inner_par", Json.int pt.Point.inner_par);
+      ( "split",
+        match pt.Point.split with
+        | None -> Json.Null
+        | Some (v, c) ->
+            Json.Obj [ ("var", Json.Str v); ("tile", Json.int c) ] );
+      ("gather", Json.Str (Point.gather_name pt.Point.gather));
+    ]
 
+(* Cycles and DRAM bytes are reported as whole numbers. *)
 let json_of_eval (e : Eval.eval) =
+  let point = ("point", json_of_point e.Eval.point) in
   match e.Eval.outcome with
   | Eval.Feasible { report; usage } ->
-      Fmt.str
-        "{\"point\": %s, \"cycles\": %.0f, \"seconds\": %.6e, \
-         \"dram_bytes\": %.0f, \"pcu\": %d, \"pmu\": %d, \"mc\": %d, \
-         \"shuffle\": %d, \"limiting\": \"%s\"}"
-        (json_of_point e.Eval.point) report.Sim.cycles report.Sim.seconds
-        report.Sim.streamed_bytes usage.Resources.pcu usage.Resources.pmu
-        usage.Resources.mc usage.Resources.shuffle
-        (json_escape usage.Resources.limiting)
-  | Eval.Infeasible reason ->
-      Fmt.str "{\"point\": %s, \"pruned\": \"%s\"}" (json_of_point e.Eval.point)
-        (json_escape reason)
+      Json.Obj
+        [
+          point;
+          ("cycles", Json.Num (Float.round report.Sim.cycles));
+          ("seconds", Json.Num report.Sim.seconds);
+          ("dram_bytes", Json.Num (Float.round report.Sim.streamed_bytes));
+          ("pcu", Json.int usage.Resources.pcu);
+          ("pmu", Json.int usage.Resources.pmu);
+          ("mc", Json.int usage.Resources.mc);
+          ("shuffle", Json.int usage.Resources.shuffle);
+          ("limiting", Json.Str usage.Resources.limiting);
+        ]
+  | Eval.Infeasible reason -> Json.Obj [ point; ("pruned", Json.Str reason) ]
 
 (** Machine-readable report for trajectory tracking and tooling.
     [full_evals] counts distinct points promoted to full evaluation,
@@ -816,18 +411,21 @@ let json_of_eval (e : Eval.eval) =
     [bound_evals] the stats-only lower bounds spent steering, and
     [budget] the effective cap ([null] = uncapped) — together they make
     search efficiency measurable from the CLI and the daemon alike. *)
-let to_json (r : result) =
-  Fmt.str
-    "{\"kernel\": \"%s\", \"strategy\": \"%s\", \"workers\": %d, \
-     \"candidates\": %d, \"evaluated\": %d, \"full_evals\": %d, \
-     \"estimates\": %d, \"bound_evals\": %d, \"budget\": %s, \
-     \"pruned\": %d, \"heuristic\": %s, \"best\": %s, \"frontier\": [%s]}"
-    (json_escape r.problem.Eval.name)
-    (strategy_name r.strategy) r.workers r.candidates
-    (List.length r.evaluated) (List.length r.evaluated) (estimate_count r)
-    r.bound_evals
-    (match r.budget with None -> "null" | Some b -> string_of_int b)
-    r.pruned
-    (json_of_eval r.seed_eval)
-    (match r.best with None -> "null" | Some b -> json_of_eval b)
-    (String.concat ", " (List.map json_of_eval r.frontier))
+let json (r : result) =
+  let evaluated = Json.int (List.length r.evaluated) in
+  Json.Obj
+    [
+      ("kernel", Json.Str r.problem.Eval.name);
+      ("strategy", Json.Str (strategy_name r.strategy));
+      ("workers", Json.int r.workers);
+      ("candidates", Json.int r.candidates);
+      ("evaluated", evaluated);
+      ("full_evals", evaluated);
+      ("estimates", Json.int (estimate_count r));
+      ("bound_evals", Json.int r.bound_evals);
+      ("budget", match r.budget with None -> Json.Null | Some b -> Json.int b);
+      ("pruned", Json.int r.pruned);
+      ("heuristic", json_of_eval r.seed_eval);
+      ("best", match r.best with None -> Json.Null | Some b -> json_of_eval b);
+      ("frontier", Json.Arr (List.map json_of_eval r.frontier));
+    ]

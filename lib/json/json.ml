@@ -15,6 +15,8 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+let int n = Num (float_of_int n)
+
 exception Parse_error of string * int  (** message, character offset *)
 
 (** Maximum container-nesting depth the parser accepts.  The parser is

@@ -15,6 +15,8 @@
     contents are a pure function of the well-formed request multiset,
     identical across worker counts. *)
 
+module Json = Stardust_json.Json
+
 type entry = {
   f_request_id : string;
   f_generated : bool;  (** id was minted by the server, not the client *)
@@ -144,13 +146,13 @@ let clear t =
       t.total <- 0)
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled, like the rest of lib/obs)              *)
+(* JSON rendering                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let esc = Trace.json_escape
-
 let codes_json codes =
-  "[" ^ String.concat "," (List.map (fun c -> "\"" ^ esc c ^ "\"") codes) ^ "]"
+  "["
+  ^ String.concat "," (List.map (fun c -> "\"" ^ Json.escape c ^ "\"") codes)
+  ^ "]"
 
 let cached_json = function
   | None -> "null"
@@ -162,10 +164,10 @@ let entry_summary_json ?(deterministic = false) e =
   Buffer.add_char buf '{';
   if not (deterministic && e.f_generated) then
     Buffer.add_string buf
-      (Printf.sprintf "\"request_id\":\"%s\"," (esc e.f_request_id));
+      (Printf.sprintf "\"request_id\":\"%s\"," (Json.escape e.f_request_id));
   Buffer.add_string buf
     (Printf.sprintf "\"generated\":%b,\"op\":\"%s\",\"cached\":%s,\"ok\":%b"
-       e.f_generated (esc e.f_op) (cached_json e.f_cached) e.f_ok);
+       e.f_generated (Json.escape e.f_op) (cached_json e.f_cached) e.f_ok);
   Buffer.add_string buf (",\"codes\":" ^ codes_json e.f_codes);
   if not deterministic then
     Buffer.add_string buf
@@ -218,7 +220,7 @@ let rec node_json n =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%.3f,\"dur_us\":%.3f"
-       (esc e.Trace.ev_name) (esc e.Trace.ev_cat) e.Trace.ev_ts
+       (Json.escape e.Trace.ev_name) (Json.escape e.Trace.ev_cat) e.Trace.ev_ts
        e.Trace.ev_dur);
   (match e.Trace.ev_args with
   | [] -> ()
@@ -228,7 +230,7 @@ let rec node_json n =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)))
+            (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         args;
       Buffer.add_char buf '}');
   (match n.n_children with
@@ -274,6 +276,7 @@ let trace_json t id =
       Some
         (Printf.sprintf
            "{\"request_id\":\"%s\",\"op\":\"%s\",\"ok\":%b,\"codes\":%s,\"spans_dropped\":%d,\"threads\":[%s]}"
-           (esc e.f_request_id) (esc e.f_op) e.f_ok (codes_json e.f_codes)
+           (Json.escape e.f_request_id) (Json.escape e.f_op) e.f_ok
+           (codes_json e.f_codes)
            e.f_spans_dropped
            (String.concat "," threads))

@@ -24,6 +24,8 @@
     All operations are guarded by one registry mutex; handles may be
     shared freely across domains. *)
 
+module Json = Stardust_json.Json
+
 type kind = Counter | Gauge | Histogram
 
 let kind_name = function
@@ -244,12 +246,10 @@ let render_text ?(include_volatile = true) () =
     (sorted_metrics ());
   Buffer.contents buf
 
-let json_escape = Trace.json_escape
-
 let json_of_metric m =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\"" (json_escape m.m_name)
+    (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\"" (Json.escape m.m_name)
        (kind_name m.m_kind));
   (match m.m_labels with
   | [] -> ()
@@ -259,7 +259,7 @@ let json_of_metric m =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         ls;
       Buffer.add_char buf '}');
   (match m.m_value with

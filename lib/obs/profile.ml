@@ -18,6 +18,8 @@
     ({!field-self_compute_cycles}, {!field-self_dram_cycles}) for the
     compute-vs-DRAM breakdown. *)
 
+module Json = Stardust_json.Json
+
 type node = {
   label : string;  (** loop binder, transfer target, or kernel name *)
   kind : string;
@@ -108,8 +110,8 @@ let rec to_json n =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"label\":\"%s\",\"kind\":\"%s\",\"self_cycles\":%s,\"self_compute_cycles\":%s,\"self_dram_cycles\":%s,\"iterations\":%s,\"total_cycles\":%s"
-       (Trace.json_escape n.label)
-       (Trace.json_escape n.kind)
+       (Json.escape n.label)
+       (Json.escape n.kind)
        (number n.self_cycles)
        (number n.self_compute_cycles)
        (number n.self_dram_cycles)

@@ -18,6 +18,8 @@
     restored, so one failing compile cannot skew every later span's
     nesting. *)
 
+module Json = Stardust_json.Json
+
 (** One recorded event.  Timestamps and durations are microseconds
     relative to the {!start} call (Chrome's native unit). *)
 type event = {
@@ -223,27 +225,11 @@ let event_count () =
 (* Chrome trace_event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_event buf (e : event) =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-       (json_escape e.ev_name) (json_escape e.ev_cat) (json_escape e.ev_ph)
+       (Json.escape e.ev_name) (Json.escape e.ev_cat) (Json.escape e.ev_ph)
        e.ev_ts e.ev_tid);
   if e.ev_ph = "X" then
     Buffer.add_string buf (Printf.sprintf ",\"dur\":%.3f" e.ev_dur);
@@ -257,7 +243,7 @@ let write_event buf (e : event) =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         args;
       Buffer.add_char buf '}');
   Buffer.add_char buf '}'

@@ -21,8 +21,9 @@
     - the sampled loop order respects every tensor's level ordering
       (compressed fibers are only reachable through their parents);
     - when no loop order over the generated formats is legal, the
-      operand formats are densified until one is (fully dense tensors
-      admit every order). *)
+      operands fall back to fully dense storage laid out along the result
+      variables then the reduction variables, which makes that order
+      legal. *)
 
 module Format = Stardust_tensor.Format
 module Ast = Stardust_ir.Ast
@@ -73,12 +74,16 @@ let gen_format rng order =
     in
     Format.make ?mode_order levels
 
-let densify_tensor (ts : Case.tensor_spec) =
-  {
-    ts with
-    Case.fmt =
-      Format.make (List.map (fun _ -> Format.Dense) ts.Case.fmt.Format.levels);
-  }
+(** The fully dense format of [access] whose levels store its dimensions
+    in the order their variables take in [order].  Dense levels still bind
+    outside-in, so plain row-major operands can rule out every loop order
+    ([B(j,i)] under [Y(i,j)]); stored this way, [order] itself is legal. *)
+let dense_along order (access : Ast.access) =
+  let rank v = Option.get (List.find_index (String.equal v) order) in
+  let dims = List.mapi (fun d v -> (rank v, d)) access.Ast.indices in
+  Format.make
+    ~mode_order:(List.map snd (List.sort compare dims))
+    (List.map (fun _ -> Format.Dense) dims)
 
 (** Random entries over the full coordinate space of [dims] at [density],
     with quarter-integer values in [±0.25, ±2] — exactly representable,
@@ -151,7 +156,8 @@ let gen_terms rng ~out_vars ~red_vars =
   (false, covering) :: List.map (fun fs -> (sign (), fs)) extras
 
 (** Generate the raw case for [seed]; [densify] forces every operand
-    fully dense (the fallback when no legal order exists otherwise). *)
+    fully dense along {!Ast.all_vars} (the fallback when no legal order
+    exists otherwise). *)
 let attempt ~seed ~densify rng =
   let n_out = Prng.int rng 3 in
   let out_vars = take n_out out_pool in
@@ -182,12 +188,7 @@ let attempt ~seed ~densify rng =
             (fun vars ->
               let tname = fresh () in
               let dims = List.map (fun v -> List.assoc v extents) vars in
-              let fmt =
-                let f = gen_format rng (List.length vars) in
-                if densify then
-                  Format.make (List.map (fun _ -> Format.Dense) f.Format.levels)
-                else f
-              in
+              let fmt = gen_format rng (List.length vars) in
               let entries = gen_entries rng dims density in
               specs :=
                 { Case.tname; fmt; dims; entries } :: !specs;
@@ -216,6 +217,21 @@ let attempt ~seed ~densify rng =
     }
   in
   let tensors = List.rev !specs in
+  let tensors =
+    if not densify then tensors
+    else
+      let order = Ast.all_vars assign
+      and accesses = Ast.accesses_of_expr assign.Ast.rhs in
+      List.map
+        (fun (ts : Case.tensor_spec) ->
+          let access =
+            List.find
+              (fun (a : Ast.access) -> a.Ast.tensor = ts.Case.tname)
+              accesses
+          in
+          { ts with Case.fmt = dense_along order access })
+        tensors
+  in
   (* Bias the result toward fully dense: compressed outputs are legal only
      in the restricted positions the planner supports, and a mostly-dense
      result keeps the compiled backends in play on most cases.  Permuted
@@ -256,7 +272,8 @@ let attempt ~seed ~densify rng =
 (** [gen ~seed] is the deterministic case for [seed].  Up to five format
     re-rolls are attempted when the sampled formats admit no legal loop
     order (mutually incompatible level orderings); the final fallback
-    densifies every operand, which always admits one. *)
+    stores every operand densely along one variable order, which always
+    admits that order. *)
 let gen ~seed : Case.t =
   let rec try_roll k =
     let rng = Prng.create (seed + (k * 0x9E3779B9)) in
@@ -269,7 +286,7 @@ let gen ~seed : Case.t =
           (match attempt ~seed ~densify:true rng with
           | Some c -> c
           | None ->
-              (* fully dense formats admit every order; unreachable *)
+              (* [dense_along] makes [Ast.all_vars] legal; unreachable *)
               invalid_arg "Gen.gen: dense fallback produced no case")
   in
   try_roll 0

@@ -93,8 +93,9 @@ type request = {
       (** autotune search strategy name; resolved (and rejected with
           [E1008]) by the service via {!Workload.strategy_of_string}, so
           the protocol layer stays in sync with the explorer's list *)
-  samples : int;  (** autotune --strategy random *)
-  seed : int;  (** autotune --strategy random|anneal *)
+  samples : int;
+      (** parsed for older clients; no strategy reads it any more *)
+  seed : int;  (** parsed for older clients; no strategy reads it any more *)
   budget : int;
       (** autotune: cap on full simulator evaluations; 0 = the
           strategy's own default *)
@@ -292,12 +293,6 @@ let request_of_json (j : Json.t) : (request, Diag.t list) result =
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Diagnostics rendered through the same [Diag.to_json] the CLI's
-    [--diag-json] uses, re-parsed into the tree so they nest in the
-    response (the round-trip is loss-free: both ends are our own
-    renderer). *)
-let diags_json ds = Json.parse (Diag.list_to_json ds)
-
 let ok_body result = Json.Obj [ ("ok", Json.Bool true); ("result", result) ]
 
 let error_body ds =
@@ -311,7 +306,11 @@ let error_body ds =
       ("ok", Json.Bool false);
       ( "error",
         Json.Obj
-          [ ("code", Json.Str code); ("diagnostics", diags_json ds) ] );
+          [
+            ("code", Json.Str code);
+            (* the same objects the CLI's [--diag-json] prints *)
+            ("diagnostics", Json.Arr (List.map Diag.json ds));
+          ] );
     ]
 
 (** Wrap a body ([ok_body] or [error_body]) into the response envelope:

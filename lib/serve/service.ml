@@ -277,15 +277,14 @@ let request_key ~opts (r : P.request) (rs : resolved) config =
 (* ------------------------------------------------------------------ *)
 
 let num f = Json.Num f
-let int_ n = Json.Num (float_of_int n)
 
 let usage_json (u : Resources.usage) =
   Json.Obj
     [
-      ("pcu", int_ u.Resources.pcu);
-      ("pmu", int_ u.Resources.pmu);
-      ("mc", int_ u.Resources.mc);
-      ("shuffle", int_ u.Resources.shuffle);
+      ("pcu", Json.int u.Resources.pcu);
+      ("pmu", Json.int u.Resources.pmu);
+      ("mc", Json.int u.Resources.mc);
+      ("shuffle", Json.int u.Resources.shuffle);
       ("limiting", Json.Str u.Resources.limiting);
       ("feasible", Json.Bool u.Resources.feasible);
     ]
@@ -341,8 +340,7 @@ let handle_autotune t ~strategy (r : P.request) (rs : resolved) config =
       ~inputs:rs.rinputs rs.rexpr
   in
   let budget = if r.P.budget > 0 then Some r.P.budget else None in
-  let result = Explore.run ~pool:t.pool ~strategy ?budget problem in
-  P.ok_body (Json.parse (Explore.to_json result))
+  P.ok_body (Explore.json (Explore.run ~pool:t.pool ~strategy ?budget problem))
 
 let handle_stats (rs : resolved) =
   let tensor_json (name, tensor) =
@@ -354,8 +352,8 @@ let handle_stats (rs : resolved) =
     Json.Obj
       [
         ("name", Json.Str name);
-        ("dims", Json.Arr (List.map int_ dims));
-        ("nnz", int_ nnz);
+        ("dims", Json.Arr (List.map Json.int dims));
+        ("nnz", Json.int nnz);
         ( "density",
           num (if total > 0.0 then float_of_int nnz /. total else 0.0) );
         ("fingerprint", Json.Str (Stats_cache.fingerprint tensor));
@@ -368,11 +366,11 @@ let stats_cache_json () =
   let c = Stats_cache.counters () in
   Json.Obj
     [
-      ("hits", int_ c.Stats_cache.hits);
-      ("misses", int_ c.Stats_cache.misses);
-      ("evictions", int_ c.Stats_cache.evictions);
-      ("entries", int_ (Stats_cache.size ()));
-      ("capacity", int_ (Stats_cache.capacity ()));
+      ("hits", Json.int c.Stats_cache.hits);
+      ("misses", Json.int c.Stats_cache.misses);
+      ("evictions", Json.int c.Stats_cache.evictions);
+      ("entries", Json.int (Stats_cache.size ()));
+      ("capacity", Json.int (Stats_cache.capacity ()));
     ]
 
 let handle_metrics t (r : P.request) =
@@ -384,7 +382,7 @@ let handle_metrics t (r : P.request) =
              (Metrics.snapshot_json ~deterministic:(not r.P.volatile) ()) );
          ("plan_cache", Plan_cache.counters_json (Plan_cache.counters t.cache));
          ("stats_cache", stats_cache_json ());
-         ("workers", int_ (workers t));
+         ("workers", Json.int (workers t));
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -425,10 +423,7 @@ let dispatch t (r : P.request) : Json.t * bool option =
   | P.Autotune -> (
       (* reject unknown strategies before the cache: E1008 bodies must
          never occupy plan-cache entries *)
-      match
-        Workload.strategy_of_string ~samples:r.P.samples ~seed:r.P.seed
-          r.P.strategy
-      with
+      match Workload.strategy_of_string r.P.strategy with
       | Error msg ->
           ( P.error_body
               [
@@ -437,11 +432,12 @@ let dispatch t (r : P.request) : Json.t * bool option =
               ],
             None )
       | Ok strategy ->
+          (* keyed on the resolved strategy, so its aliases share one
+             entry *)
           resolved_or (fun rs ->
               via_cache
                 ~opts:
-                  (Fmt.str "%s/%d/%d/%d" r.P.strategy r.P.samples r.P.seed
-                     r.P.budget)
+                  (Fmt.str "%s/%d" (Explore.strategy_name strategy) r.P.budget)
                 rs
                 (fun config -> handle_autotune t ~strategy r rs config)))
   | P.Stats -> resolved_or (fun rs -> via_cache ~opts:"" rs (fun _ -> handle_stats rs))

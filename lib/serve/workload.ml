@@ -37,20 +37,15 @@ let format_of_string = function
 (** The one table mapping autotune strategy names to explorer
     strategies, shared by the CLI's [--strategy] flag and the serve
     protocol's ["strategy"] field so the two surfaces can never drift.
-    [grid] is the historical name for exhaustive enumeration. *)
-let strategy_names =
-  [ "grid"; "exhaustive"; "greedy"; "random"; "halving"; "anneal"; "surrogate" ]
+    [grid] is the historical name for exhaustive enumeration, and the
+    default of both surfaces. *)
+let strategy_names = [ "grid"; "exhaustive"; "halving" ]
 
-let strategy_of_string ~samples ~seed name :
-    (Stardust_explore.Explore.strategy, string) result =
+let strategy_of_string name =
   let module E = Stardust_explore.Explore in
   match name with
   | "grid" | "exhaustive" -> Ok E.Exhaustive
-  | "greedy" -> Ok E.Greedy
-  | "random" -> Ok (E.Random { samples; seed })
   | "halving" -> Ok E.Halving
-  | "anneal" -> Ok (E.Anneal { seed })
-  | "surrogate" -> Ok E.Surrogate
   | s ->
       Error
         (Fmt.str "unknown autotune strategy %S (try %s)" s

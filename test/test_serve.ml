@@ -83,7 +83,7 @@ let test_roundtrip_ops () =
       let autotune =
         ask 5
           (kernel_req ~id:5 "autotune" "spmv" 8
-             ~extra:[ ("strategy", Json.Str "greedy") ])
+             ~extra:[ ("strategy", Json.Str "halving") ])
       in
       checkb "autotune ok" true (is_ok autotune);
       checkb "autotune reports a frontier" true
@@ -323,7 +323,7 @@ let test_batch_autotune_no_deadlock () =
       let batch =
         [
           kernel_req ~id:1 "autotune" "spmv" 8
-            ~extra:[ ("strategy", Json.Str "greedy") ];
+            ~extra:[ ("strategy", Json.Str "halving") ];
           req ~id:2 "ping" [];
           kernel_req ~id:3 "estimate" "spmv" 8;
         ]
@@ -389,8 +389,7 @@ let test_deadline () =
         kernel_req ~id:1 "autotune" "mttkrp" 96
           ~extra:
             [
-              ("strategy", Json.Str "random");
-              ("samples", Json.Num 4000.0);
+              ("strategy", Json.Str "exhaustive");
               ("deadline_ms", Json.Num 1.0);
             ]
       in
@@ -417,8 +416,7 @@ let test_deadline () =
               (kernel_req ~id:4 "autotune" "mttkrp" 96
                  ~extra:
                    [
-                     ("strategy", Json.Str "random");
-                     ("samples", Json.Num 4000.0);
+                     ("strategy", Json.Str "exhaustive");
                    ])
           in
           checkb "daemon default deadline fires" true (not (is_ok r));
@@ -750,8 +748,7 @@ let test_request_correlation () =
               (kernel_req ~id:5 "autotune" "mttkrp" 96
                  ~extra:
                    [
-                     ("strategy", Json.Str "random");
-                     ("samples", Json.Num 4000.0);
+                     ("strategy", Json.Str "exhaustive");
                      ("deadline_ms", Json.Num 1.0);
                      ("request_id", Json.Str rid);
                    ])
@@ -815,7 +812,7 @@ let test_correlation_in_trace_export () =
                   (kernel_req ~id:2 "autotune" "spmv" 8
                      ~extra:
                        [
-                         ("strategy", Json.Str "greedy");
+                         ("strategy", Json.Str "halving");
                          ("request_id", Json.Str "deep-2");
                        ])));
           let evs = Trace.events () in
@@ -872,8 +869,7 @@ let test_correlation_over_socket () =
                   (kernel_req ~id:2 "autotune" "mttkrp" 96
                      ~extra:
                        [
-                         ("strategy", Json.Str "random");
-                         ("samples", Json.Num 4000.0);
+                         ("strategy", Json.Str "exhaustive");
                          ("deadline_ms", Json.Num 1.0);
                          ("request_id", Json.Str "sock-doom");
                        ])
@@ -966,8 +962,7 @@ let test_http_plane () =
                       (kernel_req ~id:2 "autotune" "mttkrp" 96
                          ~extra:
                            [
-                             ("strategy", Json.Str "random");
-                             ("samples", Json.Num 4000.0);
+                             ("strategy", Json.Str "exhaustive");
                              ("deadline_ms", Json.Num 1.0);
                              ("request_id", Json.Str "dead-http");
                            ])));
@@ -1108,12 +1103,16 @@ let test_autotune_budgeted () =
         (Json.to_float (field "full_evals" result) <= 6.0);
       checkb "bound evaluations reported" true
         (Json.member "bound_evals" result <> None);
-      let surrogate =
-        Service.handle_request svc
-          (kernel_req ~id:2 "autotune" "spmv" 8
-             ~extra:[ ("strategy", Json.Str "surrogate") ])
-      in
-      checkb "surrogate autotune ok" true (is_ok surrogate);
+      List.iter
+        (fun name ->
+          let removed =
+            Service.handle_request svc
+              (kernel_req ~id:2 "autotune" "spmv" 8
+                 ~extra:[ ("strategy", Json.Str name) ])
+          in
+          checks (name ^ " is no longer a strategy") "E1008"
+            (error_code removed))
+        [ "greedy"; "random"; "anneal"; "surrogate" ];
       let unknown =
         Service.handle_request svc
           (kernel_req ~id:3 "autotune" "spmv" 8
@@ -1128,6 +1127,76 @@ let test_autotune_budgeted () =
       in
       checkb "negative budget refused" false (is_ok negative);
       checks "negative budget answered E1002" "E1002" (error_code negative))
+
+(* The daemon's autotune body, pinned byte for byte as it was while the
+   explorer rendered JSON by hand.  That renderer printed [seconds] with
+   [%.6e]; the [Json.t] builder keeps full precision, so the comparison
+   re-rounds [seconds] the old way and nothing else. *)
+let autotune_golden =
+  "{\"kernel\":\"spmv\",\"strategy\":\"halving\",\"workers\":1,\
+   \"candidates\":19,\"evaluated\":16,\"full_evals\":16,\"estimates\":16,\
+   \"bound_evals\":19,\"budget\":16,\"pruned\":0,\"heuristic\":{\"point\":{\"order\":null,\
+   \"outer_par\":16,\"inner_par\":16,\"split\":null,\"gather\":\"auto\"},\
+   \"cycles\":67,\"seconds\":4.167778e-08,\"dram_bytes\":140,\"pcu\":17,\
+   \"pmu\":35,\"mc\":35,\"shuffle\":16,\"limiting\":\"Shuf\"},\"best\":{\"point\":{\"order\":null,\
+   \"outer_par\":16,\"inner_par\":16,\"split\":null,\"gather\":\"auto\"},\
+   \"cycles\":67,\"seconds\":4.167778e-08,\"dram_bytes\":140,\"pcu\":17,\
+   \"pmu\":35,\"mc\":35,\"shuffle\":16,\"limiting\":\"Shuf\"},\"frontier\":[{\"point\":{\"order\":null,\
+   \"outer_par\":16,\"inner_par\":16,\"split\":null,\"gather\":\"auto\"},\
+   \"cycles\":67,\"seconds\":4.167778e-08,\"dram_bytes\":140,\"pcu\":17,\
+   \"pmu\":35,\"mc\":35,\"shuffle\":16,\"limiting\":\"Shuf\"},{\"point\":{\"order\":\"i,\
+     j\",\"outer_par\":12,\"inner_par\":4,\"split\":null,\"gather\":\"auto\"},\
+   \"cycles\":67,\"seconds\":4.1811109999999998e-08,\"dram_bytes\":140,\
+   \"pcu\":13,\"pmu\":27,\"mc\":27,\"shuffle\":12,\"limiting\":\"Shuf\"},\
+     {\"point\":{\"order\":\"i,j\",\"outer_par\":8,\"inner_par\":4,\
+   \"split\":null,\"gather\":\"auto\"},\"cycles\":67,\"seconds\":4.2077779999999997e-08,\
+   \"dram_bytes\":140,\"pcu\":9,\"pmu\":19,\"mc\":19,\"shuffle\":8,\
+   \"limiting\":\"Shuf\"},{\"point\":{\"order\":\"i,j\",\"outer_par\":4,\
+   \"inner_par\":4,\"split\":null,\"gather\":\"auto\"},\"cycles\":69,\
+   \"seconds\":4.2877779999999998e-08,\"dram_bytes\":140,\"pcu\":5,\
+   \"pmu\":11,\"mc\":11,\"shuffle\":4,\"limiting\":\"Shuf\"},{\"point\":{\"order\":\"i,\
+     j\",\"outer_par\":2,\"inner_par\":4,\"split\":null,\"gather\":\"auto\"},\
+   \"cycles\":71,\"seconds\":4.4477779999999999e-08,\"dram_bytes\":140,\
+   \"pcu\":3,\"pmu\":7,\"mc\":7,\"shuffle\":2,\"limiting\":\"Shuf\"},\
+     {\"point\":{\"order\":\"i,j\",\"outer_par\":1,\"inner_par\":8,\
+   \"split\":null,\"gather\":\"auto\"},\"cycles\":76,\"seconds\":4.7677780000000001e-08,\
+   \"dram_bytes\":140,\"pcu\":2,\"pmu\":5,\"mc\":5,\"shuffle\":1,\
+   \"limiting\":\"MC\"}]}"
+
+let test_autotune_golden () =
+  let rec old_seconds = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (function
+               | "seconds", Json.Num s ->
+                   ("seconds", Json.Num (float_of_string (Fmt.str "%.6e" s)))
+               | k, v -> (k, old_seconds v))
+             fields)
+    | Json.Arr l -> Json.Arr (List.map old_seconds l)
+    | j -> j
+  in
+  with_service ~workers:1 (fun svc ->
+      let resp =
+        Service.handle_request svc
+          (kernel_req ~id:1 "autotune" "spmv" 8
+             ~extra:[ ("strategy", Json.Str "halving") ])
+      in
+      checks "spmv n=8 halving body" autotune_golden
+        (Json.to_string (old_seconds (field "result" resp))))
+
+(* Aliases of one strategy resolve to one plan-cache entry: [grid] and
+   [exhaustive] are the same search. *)
+let test_autotune_alias_cached () =
+  with_service ~workers:1 (fun svc ->
+      let ask id strategy =
+        Service.handle_request svc
+          (kernel_req ~id "autotune" "spmv" 8
+             ~extra:[ ("strategy", Json.Str strategy) ])
+      in
+      checkb "grid is a cold miss" false (cached_bit (ask 1 "grid"));
+      checkb "exhaustive after grid is cached" true
+        (cached_bit (ask 2 "exhaustive")))
 
 let suite =
   [
@@ -1151,6 +1220,10 @@ let suite =
       test_batch_autotune_no_deadlock;
     Alcotest.test_case "service: budgeted autotune strategies and E1008"
       `Quick test_autotune_budgeted;
+    Alcotest.test_case "service: autotune body pinned" `Quick
+      test_autotune_golden;
+    Alcotest.test_case "plan cache: strategy aliases share an entry" `Quick
+      test_autotune_alias_cached;
     Alcotest.test_case "server: unix-socket client session" `Quick
       test_unix_socket_session;
     Alcotest.test_case "hardening: deadlines answered E1005" `Quick

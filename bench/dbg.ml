@@ -1,11 +1,11 @@
 (* dbg — developer inspection tool for compiled kernels.
 
      dune exec bench/dbg.exe [KERNEL]         # loop/transfer structure
-     STARDUST_DEBUG_XFER=1 dune exec bench/dbg.exe [KERNEL]
-                                              # + per-transfer estimate trace
 
    Prints the compiled loop tree with trip annotations and DRAM transfers
-   on the kernel's first benchmark dataset (default: TTV). *)
+   on the kernel's first benchmark dataset (default: TTV).  For the
+   estimate's per-transfer bytes and cycles, run
+   [stardustc profile KERNEL]: it attributes every [load]/[store] node. *)
 
 module K = Stardust_core.Kernels
 module Sim = Stardust_capstan.Sim

@@ -120,7 +120,7 @@ let measure () =
     deterministic fields; the wall-clock fields are ignored by
     perf-diff. *)
 let rows_json rs =
-  let num = Stardust_obs.Metrics.number_to_string in
+  let num = Stardust_json.Json.number_to_string in
   String.concat ","
     (List.map
        (fun r ->

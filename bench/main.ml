@@ -23,7 +23,6 @@ let artifacts =
     ("longtail", ("Long-tail kernels beyond the paper's suite", Tables.longtail));
     ("ablations", ("Ablations: sparse lanes, bit-vector stream, gather staging, scheduling", Ablations.run));
     ("autotune", ("Design-space exploration: best point per kernel, pool scaling", Autotune.run));
-    ("micro", ("Compiler-phase microbenchmarks (Bechamel)", Micro.run));
     ( "estimate-throughput",
       ( "Oracle throughput: compile+estimate points/sec, stats cache on/off",
         Throughput.run ) );
@@ -88,7 +87,7 @@ let () =
   | "suite" :: rest -> suite_json_cli rest
   | "perf-diff" :: rest -> perf_diff_cli rest
   | [] ->
-      (* default: every paper artifact (micro last; it is the slowest) *)
+      (* default: every artifact *)
       List.iter (fun (_, (_, f)) -> f ()) artifacts
   | names ->
       List.iter

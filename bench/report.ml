@@ -20,7 +20,7 @@ module Resources = Stardust_capstan.Resources
 module Json = Stardust_json.Json
 module Metrics = Stardust_obs.Metrics
 
-let num = Metrics.number_to_string
+let num = Json.number_to_string
 
 let find_specs names =
   match names with

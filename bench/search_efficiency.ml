@@ -106,7 +106,7 @@ let measure () =
     pair.  Every field except [wall_seconds] is deterministic and diffed
     by perf-smoke. *)
 let rows_json rows =
-  let num = Metrics.number_to_string in
+  let num = Stardust_json.Json.number_to_string in
   String.concat ","
     (List.map
        (fun r ->

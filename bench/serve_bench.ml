@@ -112,7 +112,7 @@ let measure () = List.map run_level levels
     level.  [clients]/[requests]/[plan_cache_hits]/[plan_cache_misses]
     are the deterministic fields; the latency fields are wall-clock. *)
 let rows_json rows =
-  let num = Stardust_obs.Metrics.number_to_string in
+  let num = Json.number_to_string in
   String.concat ","
     (List.map
        (fun r ->
@@ -273,7 +273,7 @@ let measure_http () =
     [requests]/[flight_recorded]/[flight_failed]/[scrape_bytes] are the
     deterministic fields CI pins; the scrape timing is wall-clock. *)
 let http_rows_json r =
-  let num = Metrics.number_to_string in
+  let num = Json.number_to_string in
   Printf.sprintf
     "{\"requests\":%d,\"flight_recorded\":%d,\"flight_failed\":%d,\"scrape_bytes\":%d,\"scrapes\":%d,\"scrape_wall_seconds\":%s,\"scrapes_per_sec\":%s}"
     r.h_requests r.h_flight_total r.h_flight_failed r.h_scrape_bytes

@@ -121,7 +121,7 @@ let measure () =
     [evaluations]/[cache_hits]/[cache_misses] are the deterministic
     fields; the wall-clock fields are ignored by perf-diff. *)
 let rows_json rows =
-  let num = Stardust_obs.Metrics.number_to_string in
+  let num = Stardust_json.Json.number_to_string in
   String.concat ","
     (List.map
        (fun r ->

@@ -635,10 +635,10 @@ let profile_cmd =
             (Printf.sprintf
                "{\"expr\":\"%s\",\"cycles\":%s,\"compute_cycles\":%s,\"dram_cycles\":%s,\"seconds\":%s,\"profile\":%s}"
                (Json.escape label)
-               (Metrics.number_to_string p.Sim.preport.Sim.cycles)
-               (Metrics.number_to_string p.Sim.preport.Sim.compute_cycles)
-               (Metrics.number_to_string p.Sim.preport.Sim.dram_cycles)
-               (Metrics.number_to_string p.Sim.preport.Sim.seconds)
+               (Json.number_to_string p.Sim.preport.Sim.cycles)
+               (Json.number_to_string p.Sim.preport.Sim.compute_cycles)
+               (Json.number_to_string p.Sim.preport.Sim.dram_cycles)
+               (Json.number_to_string p.Sim.preport.Sim.seconds)
                (Profile.to_json p.Sim.ptree)))
         profiled;
       Buffer.add_string buf "],\"metrics\":";

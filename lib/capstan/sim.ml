@@ -935,8 +935,6 @@ let rec est_stmt e ~execs ~ctx ~prof (s : stmt) =
   | Comment _ | Alloc _ | Let _ | Deq _ | Write _ | Enq _ -> ()
   | Load_burst { dst; _ } ->
       let elems = transfer_total e dst ~execs in
-      if Sys.getenv_opt "STARDUST_DEBUG_XFER" <> None then
-        Fmt.epr "xfer load %s execs=%.3e elems=%.3e@." dst execs elems;
       let p = prof_child prof ("load " ^ dst) "burst" in
       e.e_tally.bytes <- e.e_tally.bytes +. (elems *. word_bytes);
       e.e_tally.bursts <- e.e_tally.bursts +. (execs /. ctx);
@@ -946,8 +944,6 @@ let rec est_stmt e ~execs ~ctx ~prof (s : stmt) =
       p.p_compute <- p.p_compute +. (elems /. (lanes *. ctx))
   | Store_burst { src; _ } ->
       let elems = transfer_total e src ~execs in
-      if Sys.getenv_opt "STARDUST_DEBUG_XFER" <> None then
-        Fmt.epr "xfer store %s execs=%.3e elems=%.3e@." src execs elems;
       let p = prof_child prof ("store " ^ src) "burst" in
       e.e_tally.bytes <- e.e_tally.bytes +. (elems *. word_bytes);
       e.e_tally.bursts <- e.e_tally.bursts +. (execs /. ctx);

@@ -1,7 +1,7 @@
 (** A process-global metrics registry: named counters, gauges, and
     histograms with optional labels, rendered either as Prometheus
     exposition text ({!render_text}) or as a deterministic JSON snapshot
-    ({!snapshot_json}).
+    ({!snapshot}, printed by {!snapshot_json}).
 
     {2 Determinism contract}
 
@@ -159,12 +159,6 @@ let sorted_metrics () =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Round-trippable number text: integers without a decimal point (the
-    common case for deterministic counters), %.17g otherwise. *)
-let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
 (* Prometheus text-format escaping (exposition format 0.0.4) draws a
    distinction the first cut of this renderer missed: label *values*
    escape backslash, double-quote, and newline, while HELP text escapes
@@ -217,7 +211,7 @@ let render_text ?(include_volatile = true) () =
       | Scalar r ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %s\n" m.m_name (label_text m.m_labels)
-               (number_to_string (locked (fun () -> !r))))
+               (Json.number_to_string (locked (fun () -> !r))))
       | Hist h ->
           let bounds, counts, sum, count =
             locked (fun () ->
@@ -229,74 +223,62 @@ let render_text ?(include_volatile = true) () =
               cum := !cum +. counts.(i);
               Buffer.add_string buf
                 (Printf.sprintf "%s_bucket%s %s\n" m.m_name
-                   (label_text ~extra:("le", number_to_string b) m.m_labels)
-                   (number_to_string !cum)))
+                   (label_text ~extra:("le", Json.number_to_string b) m.m_labels)
+                   (Json.number_to_string !cum)))
             bounds;
           Buffer.add_string buf
             (Printf.sprintf "%s_bucket%s %s\n" m.m_name
                (label_text ~extra:("le", "+Inf") m.m_labels)
-               (number_to_string count));
+               (Json.number_to_string count));
           Buffer.add_string buf
             (Printf.sprintf "%s_sum%s %s\n" m.m_name (label_text m.m_labels)
-               (number_to_string sum));
+               (Json.number_to_string sum));
           Buffer.add_string buf
             (Printf.sprintf "%s_count%s %s\n" m.m_name (label_text m.m_labels)
-               (number_to_string count))
+               (Json.number_to_string count))
       end)
     (sorted_metrics ());
   Buffer.contents buf
 
-let json_of_metric m =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\"" (Json.escape m.m_name)
-       (kind_name m.m_kind));
-  (match m.m_labels with
-  | [] -> ()
-  | ls ->
-      Buffer.add_string buf ",\"labels\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-        ls;
-      Buffer.add_char buf '}');
-  (match m.m_value with
-  | Scalar r ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"value\":%s"
-           (number_to_string (locked (fun () -> !r))))
-  | Hist h ->
-      let bounds, counts, sum, count =
-        locked (fun () -> (h.bounds, Array.copy h.counts, h.h_sum, h.h_count))
-      in
-      Buffer.add_string buf ",\"buckets\":[";
-      Array.iteri
-        (fun i b ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (number_to_string b))
-        bounds;
-      Buffer.add_string buf "],\"counts\":[";
-      Array.iteri
-        (fun i c ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (number_to_string c))
-        counts;
-      Buffer.add_string buf
-        (Printf.sprintf "],\"sum\":%s,\"count\":%s" (number_to_string sum)
-           (number_to_string count)));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(** JSON snapshot of the registry, sorted by (name, labels).  With
-    [~deterministic:true] (the default) wall-clock-derived metrics
+(** Snapshot of the registry as a JSON value, sorted by (name, labels).
+    With [~deterministic:true] (the default) wall-clock-derived metrics
     (registered [~volatile:true]) are excluded, so the snapshot is
     bit-identical across runs and worker counts. *)
-let snapshot_json ?(deterministic = true) () =
+let snapshot ?(deterministic = true) () =
+  let nums a = Json.Arr (Array.to_list (Array.map (fun f -> Json.Num f) a)) in
+  let metric m =
+    let labels =
+      match m.m_labels with
+      | [] -> []
+      | ls ->
+          [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ls)) ]
+    in
+    let value =
+      match m.m_value with
+      | Scalar r -> [ ("value", Json.Num (locked (fun () -> !r))) ]
+      | Hist h ->
+          let bounds, counts, sum, count =
+            locked (fun () ->
+                (h.bounds, Array.copy h.counts, h.h_sum, h.h_count))
+          in
+          [
+            ("buckets", nums bounds);
+            ("counts", nums counts);
+            ("sum", Json.Num sum);
+            ("count", Json.Num count);
+          ]
+    in
+    Json.Obj
+      ([ ("name", Json.Str m.m_name); ("kind", Json.Str (kind_name m.m_kind)) ]
+      @ labels @ value)
+  in
   let ms =
     List.filter
       (fun m -> not (deterministic && m.m_volatile))
       (sorted_metrics ())
   in
-  "{\"metrics\":[" ^ String.concat "," (List.map json_of_metric ms) ^ "]}"
+  Json.Obj [ ("metrics", Json.Arr (List.map metric ms)) ]
+
+(** {!snapshot} printed. *)
+let snapshot_json ?deterministic () =
+  Json.to_string (snapshot ?deterministic ())

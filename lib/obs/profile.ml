@@ -103,7 +103,7 @@ let to_string root = Fmt.str "%a" (render ?grand:None) root
 (* JSON rendering                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let number = Metrics.number_to_string
+let number = Json.number_to_string
 
 let rec to_json n =
   let buf = Buffer.create 256 in

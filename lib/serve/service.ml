@@ -377,9 +377,7 @@ let handle_metrics t (r : P.request) =
   P.ok_body
     (Json.Obj
        [
-         ( "metrics",
-           Json.parse
-             (Metrics.snapshot_json ~deterministic:(not r.P.volatile) ()) );
+         ("metrics", Metrics.snapshot ~deterministic:(not r.P.volatile) ());
          ("plan_cache", Plan_cache.counters_json (Plan_cache.counters t.cache));
          ("stats_cache", stats_cache_json ());
          ("workers", Json.int (workers t));

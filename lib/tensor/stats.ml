@@ -6,12 +6,14 @@
     exact counts those estimates need: per-level position counts, fiber
     lengths, and co-iteration (intersection/union) cardinalities.
 
-    The co-iteration hot paths linearize coordinate prefixes into single
-    native ints whenever the per-dimension spans fit 62 bits: the merge and
-    grouping loops then run on monotone int arrays with no per-nonzero
-    allocation and no polymorphic [compare].  Tensors whose prefix space
-    overflows an int fall back to the original array/list-keyed paths, which
-    count the exact same quantities. *)
+    Co-iteration runs on storage-order coordinate prefixes, the order a
+    format's levels are walked in, so it counts what execution counts for
+    every mode ordering.  Each prefix is linearized into one native int:
+    the merge and grouping loops then run on monotone int arrays with no
+    per-nonzero allocation and no polymorphic [compare].  Where the
+    prefix space overflows 62 bits, dense ranks of the prefixes take the
+    place of the linearized keys and the same loops run on those. *)
+
 
 type t = {
   dims : int array;
@@ -53,35 +55,10 @@ let pp ppf s =
     s.level_positions
 
 (* -------------------------------------------------------------------- *)
-(* Coordinate-prefix linearization                                       *)
+(* Co-iteration cardinalities                                            *)
 (* -------------------------------------------------------------------- *)
 
-(** Is storage order lexicographic over logical coordinates? *)
-let identity_order (x : Tensor.t) =
-  let mo = (Tensor.format x).Format.mode_order in
-  List.for_all2 ( = ) mo (List.init (List.length mo) Fun.id)
-
-(** Per-dimension spans for linearizing logical-coordinate prefixes of
-    length [depth + 1] drawn from either of two tensors into single ints;
-    [None] when a tensor is too short or the prefix space overflows a
-    native int.  Linearization is order-isomorphic to lexicographic
-    comparison of the prefixes, so sorted-key merges count exactly what
-    the array merges count. *)
-let linear_spans (dims_a : int array) (dims_b : int array) ~depth =
-  let k = depth + 1 in
-  if Array.length dims_a < k || Array.length dims_b < k then None
-  else begin
-    let spans = Array.make (max k 1) 1 in
-    let total = ref 1 and ok = ref true in
-    for i = 0 to k - 1 do
-      let s = max 1 (max dims_a.(i) dims_b.(i)) in
-      spans.(i) <- s;
-      if !total > max_int / s then ok := false else total := !total * s
-    done;
-    if !ok then Some spans else None
-  end
-
-(* Growable int buffer: the only allocation of the linearized paths is the
+(* Growable int buffer: the only allocation of key extraction is the
    (amortized) key array itself. *)
 let push (buf : int array ref) (n : int ref) v =
   let a = !buf in
@@ -94,17 +71,21 @@ let push (buf : int array ref) (n : int ref) v =
   !buf.(!n) <- v;
   incr n
 
-(** Sorted distinct linearized prefix keys of length [depth + 1].
-    Requires an identity mode order (storage order is then lexicographic,
-    so the key stream is monotone and one comparison dedups it). *)
+(** Sorted distinct keys of the storage-order prefixes of length
+    [depth + 1]: a nonzero's key folds [k * spans.(l) + c.(m_l)] over
+    storage levels [l = 0..depth], where [m_l] is the mode stored at level
+    [l].  The fold is order-isomorphic to lexicographic comparison of the
+    prefixes and {!Tensor.iter_nonzeros} walks storage order, so the key
+    stream is monotone for every format and one comparison dedups it. *)
 let distinct_prefix_keys (t : Tensor.t) ~spans ~depth =
+  let mode = Array.of_list (Tensor.format t).Format.mode_order in
   let buf = ref (Array.make 64 0) and n = ref 0 in
   let last = ref 0 in
   Tensor.iter_nonzeros
     (fun c _ ->
       let k = ref 0 in
-      for i = 0 to depth do
-        k := (!k * spans.(i)) + c.(i)
+      for l = 0 to depth do
+        k := (!k * spans.(l)) + c.(mode.(l))
       done;
       if !n = 0 || !k <> !last then begin
         push buf n !k;
@@ -173,152 +154,137 @@ let key_coiter_launch_total ~union ~par ~parent_span (pa : int array)
   flush ();
   !acc
 
-(* -------------------------------------------------------------------- *)
-(* Co-iteration cardinalities                                            *)
-(* -------------------------------------------------------------------- *)
+(* Storage-order prefixes of length [n], sorted and distinct. *)
+let boxed_prefixes (t : Tensor.t) n =
+  let mode = Array.of_list (Tensor.format t).Format.mode_order in
+  Tensor.fold_nonzeros
+    (fun acc c _ -> Array.init n (fun l -> c.(mode.(l))) :: acc)
+    [] t
+  |> List.sort_uniq compare
 
-(* Sorted distinct [key c] over the nonzeros [c] of [t]. *)
-let sorted_distinct key (t : Tensor.t) =
-  let a =
-    Array.of_list (Tensor.fold_nonzeros (fun acc c _ -> key c :: acc) [] t)
+(* Index of [p] in the sorted array [sorted], which holds it. *)
+let rank sorted p =
+  let rec find lo hi =
+    let mid = (lo + hi) / 2 in
+    let c = compare sorted.(mid) p in
+    if c = 0 then mid
+    else if c < 0 then find (mid + 1) hi
+    else find lo (mid - 1)
   in
-  Array.sort compare a;
-  let n = ref 0 in
-  Array.iter
-    (fun p ->
-      if !n = 0 || compare p a.(!n - 1) <> 0 then begin
-        a.(!n) <- p;
-        incr n
-      end)
-    a;
-  Array.sub a 0 !n
+  find 0 (Array.length sorted - 1)
 
-let count_merge a b =
-  let na = Array.length a and nb = Array.length b in
-  let i = ref 0 and j = ref 0 and inter = ref 0 and union = ref 0 in
-  while !i < na && !j < nb do
-    let c = compare a.(!i) b.(!j) in
-    if c = 0 then (incr inter; incr union; incr i; incr j)
-    else if c < 0 then (incr union; incr i)
-    else (incr union; incr j)
+(** Keys for a pair whose storage-order prefix space overflows an int:
+    the shape of {!coiter_keys}' linearized keys, built from dense ranks.
+    Each trailing part ranks among the sorted distinct trailing parts of
+    both tensors ([n] of them) and keys as [parent * n + rank], where
+    [parent] ranks its first [m - 1] coordinates; a long key adds its
+    leading part's rank times [n * n].  Ranks keep order and equality, so
+    the merges count what they would on the prefixes themselves.  This is
+    the only place a prefix is boxed.  Returns
+    [(long keys, short keys, trailing span, parent span)]. *)
+let ranked_keys (long : Tensor.t) (short : Tensor.t) ~k ~m =
+  let lead = k - m in
+  let pl = boxed_prefixes long k and ps = boxed_prefixes short m in
+  let head p = Array.sub p 0 lead and trail p = Array.sub p lead m in
+  let sorted l = Array.of_list (List.sort_uniq compare l) in
+  let joint = sorted (ps @ List.map trail pl) in
+  let leads = sorted (List.map head pl) in
+  let n = Array.length joint in
+  let parent = Array.make n 0 and up p = Array.sub p 0 (m - 1) in
+  for i = 1 to n - 1 do
+    parent.(i) <-
+      (parent.(i - 1) + if up joint.(i) = up joint.(i - 1) then 0 else 1)
   done;
-  union := !union + (na - !i) + (nb - !j);
-  (!inter, !union)
+  if n > 0 && Array.length leads > max_int / n / n then
+    invalid_arg "Stats: co-iteration prefix space overflows an int";
+  let trail_key p = let r = rank joint p in (parent.(r) * n) + r in
+  let long_key p = (rank leads (head p) * n * n) + trail_key (trail p) in
+  ( Array.of_list (List.map long_key pl),
+    Array.of_list (List.map trail_key ps),
+    n * n,
+    n )
 
-(* Full-coordinate merge counts.  Linearized fast path: collect every
-   nonzero's key, sort (already sorted for identity orders, but sorting is
-   cheap and keeps the path uniform), merge as ints.  The keys of one
-   tensor are distinct (coordinate paths are unique), so the merge counts
-   match the coordinate-array merge exactly. *)
-let full_merge_counts (a : Tensor.t) (b : Tensor.t) =
-  let da = Tensor.dims a and db = Tensor.dims b in
-  let order = Array.length da in
-  if Array.length db <> order then
-    count_merge (sorted_distinct Fun.id a) (sorted_distinct Fun.id b)
-  else
-    match linear_spans da db ~depth:(order - 1) with
-    | None -> count_merge (sorted_distinct Fun.id a) (sorted_distinct Fun.id b)
-    | Some spans ->
-        let keys t =
-          let buf = ref (Array.make 64 0) and n = ref 0 in
-          Tensor.iter_nonzeros
-            (fun c _ ->
-              let k = ref 0 in
-              for i = 0 to order - 1 do
-                k := (!k * spans.(i)) + c.(i)
-              done;
-              push buf n !k)
-            t;
-          let ks = Array.sub !buf 0 !n in
-          Array.sort Int.compare ks;
-          ks
-        in
-        let ka = keys a and kb = keys b in
-        ( key_merge_count ~union:false ka kb,
-          key_merge_count ~union:true ka kb )
+(* Cuts sorted keys into runs of equal [key / span] and keeps each run's
+   remainders, last run first. *)
+let split_runs ~span keys =
+  let n = Array.length keys and runs = ref [] and start = ref 0 in
+  for i = 1 to n do
+    if i = n || keys.(i) / span <> keys.(!start) / span then begin
+      let base = keys.(!start) / span * span in
+      let run = Array.init (i - !start) (fun j -> keys.(!start + j) - base) in
+      runs := run :: !runs;
+      start := i
+    end
+  done;
+  !runs
 
-(** Number of coordinate paths present in {e both} tensors (the trip count of
-    an intersection co-iteration over full coordinates). *)
-let intersection_nnz a b = fst (full_merge_counts a b)
+(** The key merges of a co-iteration of [a] and [b] at storage level
+    [depth]: [(runs, short, parent_span)], where each run merges against
+    [short] and [key / parent_span] is a key's parent prefix.
 
-(** Number of coordinate paths present in {e either} tensor (the trip count
-    of a union co-iteration over full coordinates). *)
-let union_nnz a b = snd (full_merge_counts a b)
-
-(** Rows (leading-dimension slices) with at least one stored nonzero. *)
-let nonempty_rows (x : Tensor.t) =
-  let seen = Hashtbl.create 256 in
-  Tensor.iter_nonzeros (fun c _ -> Hashtbl.replace seen c.(0) ()) x;
-  Hashtbl.length seen
-
-(** When exactly one of [a] and [b] has [depth] modes or fewer, the
-    merges that replace theirs: [Some (d, pairs)], where every pair holds
-    sorted distinct coordinate suffixes to merge at depth [d].  The short
-    tensor co-iterates at a shallower level of its own, as [B(k)] against
-    [A(i,k)] at depth 1: it is broadcast over the other's distinct
-    leading coordinates.  So each leading part of the long tensor's
-    length-[depth + 1] prefixes meets all of the short tensor, and their
-    merge runs on the trailing parts — without building the broadcast. *)
-let broadcast_pairs (a : Tensor.t) (b : Tensor.t) ~depth =
-  let k = depth + 1 and order t = Array.length (Tensor.dims t) in
-  let split long short =
-    let m = order short in
-    let own = sorted_distinct Fun.id short in
-    let pl = sorted_distinct (fun c -> Array.sub c 0 k) long in
-    let lead i = Array.sub pl.(i) 0 (k - m) in
-    let runs = ref [] and start = ref 0 in
-    for i = 1 to Array.length pl do
-      if i = Array.length pl || compare (lead i) (lead !start) <> 0 then begin
-        let run = Array.sub pl !start (i - !start) in
-        runs := Array.map (fun p -> Array.sub p (k - m) m) run :: !runs;
-        start := i
-      end
-    done;
-    (m - 1, List.map (fun run -> (run, own)) !runs)
+    Usually both tensors have more than [depth] modes; their length-
+    [depth + 1] storage-order prefixes key over spans that are the larger
+    of the two storage-order dims at each level, and there is one run.
+    When one has [m <= depth] modes, as [B(k)] against [A(i,k)] at depth
+    1, it is broadcast over the other's leading coordinates: the long
+    tensor's keys split into runs by their leading [depth + 1 - m] levels
+    and each run's trailing parts meet all of the short tensor's keys,
+    without building the broadcast.  [keys] extracts one tensor's keys
+    (default {!distinct_prefix_keys}; {!Stats_cache} passes a cached
+    one). *)
+let coiter_keys ?(keys = distinct_prefix_keys) (a : Tensor.t) (b : Tensor.t)
+    ~depth =
+  let k = depth + 1 in
+  let long, short = if Tensor.order a < k then (b, a) else (a, b) in
+  if Tensor.order long < k then
+    invalid_arg "Stats: co-iteration deeper than both tensors";
+  let m = min k (Tensor.order short) in
+  let lead = k - m in
+  let spans =
+    Array.init k (fun l ->
+        let d = Tensor.level_dim long l in
+        if l < lead then max 1 d
+        else max 1 (max d (Tensor.level_dim short (l - lead))))
   in
-  match (order a <= depth, order b <= depth) with
-  | false, true -> Some (split a b)
-  | true, false ->
-      let d, pairs = split b a in
-      Some (d, List.map (fun (l, s) -> (s, l)) pairs)
-  | _ -> None
-
-(* Generic prefix counts (any mode order): the distinct prefixes of both
-   tensors, sorted and merged — as linearized int keys when the prefix
-   space fits an int. *)
-let prefix_table_counts ~union (a : Tensor.t) (b : Tensor.t) ~depth =
-  let pick (inter, either) = if union then either else inter in
-  let spans = linear_spans (Tensor.dims a) (Tensor.dims b) ~depth in
-  match (broadcast_pairs a b ~depth, spans) with
-  | Some (_, pairs), _ ->
-      List.fold_left (fun n (pa, pb) -> n + pick (count_merge pa pb)) 0 pairs
-  | None, Some spans ->
-      let keys t =
-        Array.to_list (distinct_prefix_keys t ~spans ~depth)
-        |> List.sort_uniq Int.compare |> Array.of_list
-      in
-      key_merge_count ~union (keys a) (keys b)
-  | None, None ->
-      let prefixes = sorted_distinct (fun c -> Array.sub c 0 (depth + 1)) in
-      pick (count_merge (prefixes a) (prefixes b))
+  let fits =
+    let total = ref 1 in
+    Array.for_all
+      (fun s -> !total <= max_int / s && (total := !total * s; true))
+      spans
+  in
+  let long_keys, short_keys, trailing_span, parent_span =
+    if fits then
+      let trailing = Array.sub spans lead m in
+      ( keys long ~spans ~depth,
+        keys short ~spans:trailing ~depth:(m - 1),
+        Array.fold_left ( * ) 1 trailing,
+        spans.(k - 1) )
+    else ranked_keys long short ~k ~m
+  in
+  let runs =
+    if lead = 0 then [ long_keys ] else split_runs ~span:trailing_span long_keys
+  in
+  (runs, short_keys, parent_span)
 
 (** [prefix_coiter_count ~union a b ~depth] is the number of distinct
-    coordinate prefixes of length [depth + 1] present in both
+    storage-order prefixes of length [depth + 1] present in both
     ([union = false]) or either ([union = true]) tensor — exactly the total
     number of iterations a depth-[depth] co-iteration loop executes across
     a whole kernel. *)
-let prefix_coiter_count ~union (a : Tensor.t) (b : Tensor.t) ~depth =
-  if identity_order a && identity_order b then
-    match linear_spans (Tensor.dims a) (Tensor.dims b) ~depth with
-    | Some spans ->
-        (* Fast path: storage order is lexicographic, so distinct prefixes
-           arrive as a monotone key stream and one int merge counts the
-           co-iteration. *)
-        key_merge_count ~union
-          (distinct_prefix_keys a ~spans ~depth)
-          (distinct_prefix_keys b ~spans ~depth)
-    | None -> prefix_table_counts ~union a b ~depth
-  else prefix_table_counts ~union a b ~depth
+let prefix_coiter_count ?keys ~union (a : Tensor.t) (b : Tensor.t) ~depth =
+  let runs, short, _ = coiter_keys ?keys a b ~depth in
+  List.fold_left (fun n run -> n + key_merge_count ~union run short) 0 runs
+
+(** Like {!fiber_launch_total} but for the {e co-iteration} of two tensors
+    at level [depth]: groups the surviving coordinates by their parent
+    prefix and charges [max m par / par] per group of [m]. *)
+let coiter_launch_total ?keys ~union ~par (a : Tensor.t) (b : Tensor.t) ~depth
+    =
+  let runs, short, parent_span = coiter_keys ?keys a b ~depth in
+  List.fold_left
+    (fun acc run ->
+      acc +. key_coiter_launch_total ~union ~par ~parent_span run short)
+    0.0 runs
 
 (** [fiber_launch_total ~par x l] is the total pipeline occupancy, in
     vector-lane-group cycles, of iterating every fiber of compressed level
@@ -338,89 +304,6 @@ let fiber_launch_total ~par (x : Tensor.t) l =
         if n > 0 then acc := !acc +. (float_of_int (max n par) /. float_of_int par)
       done;
       !acc
-
-(** Sorted distinct coordinate prefixes of length [depth + 1] (requires an
-    identity mode order so storage order is lexicographic). *)
-let sorted_prefixes (t : Tensor.t) ~depth =
-  let out = ref [] and n = ref 0 and last = ref [||] in
-  Tensor.iter_nonzeros
-    (fun c _ ->
-      let p = Array.sub c 0 (depth + 1) in
-      if !n = 0 || compare p !last <> 0 then begin
-        out := p :: !out;
-        last := p;
-        incr n
-      end)
-    t;
-  Array.of_list (List.rev !out)
-
-(* Original array-merge grouping of sorted prefixes [pa] and [pb], kept
-   as the overflow fallback of {!coiter_launch_total}. *)
-let launch_merge ~union ~par ~depth pa pb =
-  let na = Array.length pa and nb = Array.length pb in
-  let parent p = Array.sub p 0 depth in
-  let acc = ref 0.0 in
-  let group = ref [||] and m = ref 0 in
-  let flush () =
-    if !m > 0 then
-      acc := !acc +. (float_of_int (max !m par) /. float_of_int par);
-    m := 0
-  in
-  let visit p =
-    let g = parent p in
-    if !m = 0 || compare g !group <> 0 then begin
-      flush ();
-      group := g
-    end;
-    incr m
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < na && !j < nb do
-    let c = compare pa.(!i) pb.(!j) in
-    if c = 0 then begin
-      visit pa.(!i);
-      incr i;
-      incr j
-    end
-    else if c < 0 then begin
-      if union then visit pa.(!i);
-      incr i
-    end
-    else begin
-      if union then visit pb.(!j);
-      incr j
-    end
-  done;
-  if union then begin
-    while !i < na do visit pa.(!i); incr i done;
-    while !j < nb do visit pb.(!j); incr j done
-  end;
-  flush ();
-  !acc
-
-let coiter_launch_total_arrays ~union ~par (a : Tensor.t) (b : Tensor.t)
-    ~depth =
-  match broadcast_pairs a b ~depth with
-  | Some (d, pairs) ->
-      List.fold_left
-        (fun acc (pa, pb) -> acc +. launch_merge ~union ~par ~depth:d pa pb)
-        0.0 pairs
-  | None ->
-      launch_merge ~union ~par ~depth (sorted_prefixes a ~depth)
-        (sorted_prefixes b ~depth)
-
-(** Like {!fiber_launch_total} but for the {e co-iteration} of two tensors
-    at level [depth]: groups the surviving coordinates by their parent
-    prefix and charges [max m par / par] per group of [m]. *)
-let coiter_launch_total ~union ~par (a : Tensor.t) (b : Tensor.t) ~depth =
-  if identity_order a && identity_order b then
-    match linear_spans (Tensor.dims a) (Tensor.dims b) ~depth with
-    | Some spans ->
-        key_coiter_launch_total ~union ~par ~parent_span:spans.(depth)
-          (distinct_prefix_keys a ~spans ~depth)
-          (distinct_prefix_keys b ~spans ~depth)
-    | None -> coiter_launch_total_arrays ~union ~par a b ~depth
-  else coiter_launch_total_arrays ~union ~par a b ~depth
 
 (** Maximum fiber length at compressed level [l] (worst-case segment). *)
 let max_fiber_len (x : Tensor.t) l =

@@ -375,9 +375,9 @@ let fiber_launch_total ~par (t : Tensor.t) l =
 (* Cached sorted-prefix key arrays: shared by every pairwise query whose
    linearization spans agree, so a tensor's nonzeros are scanned once per
    (depth, spans), not once per co-iterated partner. *)
-let prefix_keys (t : Tensor.t) ~fp ~spans ~depth =
+let prefix_keys (t : Tensor.t) ~spans ~depth =
   let key =
-    Printf.sprintf "pk|%s|%d|%s" fp depth
+    Printf.sprintf "pk|%s|%d|%s" (fingerprint t) depth
       (String.concat "x" (List.map string_of_int (Array.to_list spans)))
   in
   match
@@ -387,73 +387,36 @@ let prefix_keys (t : Tensor.t) ~fp ~spans ~depth =
   | Keys a -> a
   | _ -> wrong_kind key
 
-(* Pairwise fast path applies under exactly the conditions of the Stats
-   fast path (identity orders, spans fit an int), so cached and uncached
-   results are the same code path over the same keys. *)
-let pair_fast_path (a : Tensor.t) (b : Tensor.t) ~depth =
-  if Stats.identity_order a && Stats.identity_order b then
-    Stats.linear_spans a.Tensor.dims b.Tensor.dims ~depth
-  else None
-
 (** Cached {!Stats.prefix_coiter_count}. *)
 let prefix_coiter_count ~union (a : Tensor.t) (b : Tensor.t) ~depth =
   if not !enabled_flag then
     timed_raw (fun () -> Stats.prefix_coiter_count ~union a b ~depth)
   else
-    match pair_fast_path a b ~depth with
-    | Some spans ->
-        let fa = fingerprint a and fb = fingerprint b in
-        let key = Printf.sprintf "pcc|%s|%s|%d|%b" fa fb depth union in
-        (match
-           find_or_fill key (fun () ->
-               Int
-                 (Stats.key_merge_count ~union
-                    (prefix_keys a ~fp:fa ~spans ~depth)
-                    (prefix_keys b ~fp:fb ~spans ~depth)))
-         with
-        | Int v -> v
-        | _ -> wrong_kind key)
-    | None ->
-        let key =
-          Printf.sprintf "pcc|%s|%s|%d|%b" (fingerprint a) (fingerprint b)
-            depth union
-        in
-        (match
-           find_or_fill key (fun () ->
-               Int (Stats.prefix_coiter_count ~union a b ~depth))
-         with
-        | Int v -> v
-        | _ -> wrong_kind key)
+    let key =
+      Printf.sprintf "pcc|%s|%s|%d|%b" (fingerprint a) (fingerprint b) depth
+        union
+    in
+    match
+      find_or_fill key (fun () ->
+          Int (Stats.prefix_coiter_count ~keys:prefix_keys ~union a b ~depth))
+    with
+    | Int v -> v
+    | _ -> wrong_kind key
 
 (** Cached {!Stats.coiter_launch_total}. *)
 let coiter_launch_total ~union ~par (a : Tensor.t) (b : Tensor.t) ~depth =
   if not !enabled_flag then
     timed_raw (fun () -> Stats.coiter_launch_total ~union ~par a b ~depth)
   else
-    match pair_fast_path a b ~depth with
-    | Some spans ->
-        let fa = fingerprint a and fb = fingerprint b in
-        let key =
-          Printf.sprintf "clt|%s|%s|%d|%b|%d" fa fb depth union par
-        in
-        (match
-           find_or_fill key (fun () ->
-               Float
-                 (Stats.key_coiter_launch_total ~union ~par
-                    ~parent_span:spans.(depth)
-                    (prefix_keys a ~fp:fa ~spans ~depth)
-                    (prefix_keys b ~fp:fb ~spans ~depth)))
-         with
-        | Float v -> v
-        | _ -> wrong_kind key)
-    | None ->
-        let key =
-          Printf.sprintf "clt|%s|%s|%d|%b|%d" (fingerprint a) (fingerprint b)
-            depth union par
-        in
-        (match
-           find_or_fill key (fun () ->
-               Float (Stats.coiter_launch_total ~union ~par a b ~depth))
-         with
-        | Float v -> v
-        | _ -> wrong_kind key)
+    let key =
+      Printf.sprintf "clt|%s|%s|%d|%b|%d" (fingerprint a) (fingerprint b)
+        depth union par
+    in
+    match
+      find_or_fill key (fun () ->
+          Float
+            (Stats.coiter_launch_total ~keys:prefix_keys ~union ~par a b
+               ~depth))
+    with
+    | Float v -> v
+    | _ -> wrong_kind key

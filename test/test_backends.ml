@@ -250,6 +250,41 @@ let prop_estimate_matches_execute =
          /. Float.max 1.0 report.Sim.compute_cycles
          < 0.05)
 
+(* Column-major storage under loop order (j,i): the estimate's
+   co-iteration counts follow storage order, so CSC and the DCSC union
+   match execution exactly; the DCSC product keeps the small launch gap
+   every doubly compressed product has. *)
+let prop_estimate_matches_execute_col_major =
+  QCheck.Test.make
+    ~name:"estimate matches execution on column-major inputs" ~count:25
+    QCheck.(int_range 0 1000)
+    (fun seed ->
+      let dcsc = F.make ~mode_order:[ 1; 0 ] [ F.Compressed; F.Compressed ] in
+      List.for_all
+        (fun (fmt, op, tol) ->
+          let expr = Printf.sprintf "A(i,j) = B(i,j) %s C(i,j)" op in
+          let input name seed =
+            D.small_random ~seed ~name ~format:fmt ~dims:[ 6; 7 ] ~density:0.4 ()
+          in
+          let inputs = [ ("B", input "B" seed); ("C", input "C" (seed + 7)) ] in
+          let formats = [ ("A", fmt); ("B", fmt); ("C", fmt) ] in
+          let sched =
+            S.reorder (S.of_assign ~formats (P.parse_assign expr)) [ "j"; "i" ]
+          in
+          let compiled = C.compile sched ~inputs in
+          let _, report = Sim.execute compiled in
+          let est = Sim.estimate compiled in
+          est.Sim.iterations = report.Sim.iterations
+          && Float.abs (est.Sim.compute_cycles -. report.Sim.compute_cycles)
+             /. Float.max 1.0 report.Sim.compute_cycles
+             <= tol)
+        [
+          (F.csc (), "+", 1e-9);
+          (F.csc (), "*", 1e-9);
+          (dcsc, "+", 1e-9);
+          (dcsc, "*", 0.05);
+        ])
+
 let suite =
   kernel_cases
   @ [
@@ -263,4 +298,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_elementwise_backends_agree;
       QCheck_alcotest.to_alcotest prop_spmv_random_matrices;
       QCheck_alcotest.to_alcotest prop_estimate_matches_execute;
+      QCheck_alcotest.to_alcotest prop_estimate_matches_execute_col_major;
     ]

@@ -503,7 +503,7 @@ let prop_bound_admissible =
     QCheck.(int_range 0 10_000)
     bound_admissible
 
-(* Oracle seeds whose cases once made [Stats.prefix_table_counts] raise
+(* Oracle seeds whose cases once made the [Stats] co-iteration counts raise
    [Invalid_argument "Array.sub"] from inside [Sim.estimate] (1440,
    9923), or made [Gen.gen]'s dense fallback find no legal loop order
    (281, 778). *)

@@ -6,6 +6,7 @@ module F = Stardust_tensor.Format
 module Coo = Stardust_tensor.Coo
 module T = Stardust_tensor.Tensor
 module Stats = Stardust_tensor.Stats
+module Stats_cache = Stardust_tensor.Stats_cache
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -207,8 +208,7 @@ let test_stats_basic () =
   checkf "density" 0.25 s.Stats.density;
   check (Alcotest.array Alcotest.int) "level positions" [| 4; 4 |]
     s.Stats.level_positions;
-  checki "max fiber" 2 (Stats.max_fiber_len t 1);
-  checki "nonempty rows" 3 (Stats.nonempty_rows t)
+  checki "max fiber" 2 (Stats.max_fiber_len t 1)
 
 let test_stats_coiter () =
   let a =
@@ -222,11 +222,7 @@ let test_stats_coiter () =
   checki "intersection full depth" 2 (Stats.prefix_coiter_count ~union:false a b ~depth:1);
   checki "union full depth" 4 (Stats.prefix_coiter_count ~union:true a b ~depth:1);
   checki "intersection rows" 2 (Stats.prefix_coiter_count ~union:false a b ~depth:0);
-  checki "union rows" 3 (Stats.prefix_coiter_count ~union:true a b ~depth:0);
-  checki "union nnz agrees" (Stats.union_nnz a b)
-    (Stats.prefix_coiter_count ~union:true a b ~depth:1);
-  checki "intersection nnz agrees" (Stats.intersection_nnz a b)
-    (Stats.prefix_coiter_count ~union:false a b ~depth:1)
+  checki "union rows" 3 (Stats.prefix_coiter_count ~union:true a b ~depth:0)
 
 let test_fiber_launch_total () =
   (* fibers of lengths 2, 0, 1, 1: with par 16 each nonempty costs 1 *)
@@ -306,6 +302,96 @@ let prop_coiter_counts_bounds =
       && union >= max (T.nnz a) (T.nnz b)
       && inter + union = T.nnz a + T.nnz b)
 
+(* Naive storage-order reference for the co-iteration statistics, built
+   from lists.  A tensor with [m <= depth] modes is broadcast over the
+   other's distinct leading [depth + 1 - m] coordinates; survivors group by
+   their first [depth] coordinates, and a group of [n] costs
+   [max n par / par]. *)
+let naive_coiter ~union ~par a b ~depth =
+  let k = depth + 1 in
+  let long, short = if T.order a < k then (b, a) else (a, b) in
+  let m = min k (T.order short) in
+  let take n p = List.filteri (fun i _ -> i < n) p in
+  let prefixes t n =
+    List.sort_uniq compare
+      (List.map
+         (fun (c, _) -> take n (List.map (fun d -> c.(d)) (T.format t).F.mode_order))
+         (T.to_entries t))
+  in
+  let pl = prefixes long k in
+  let ps =
+    if m = k then prefixes short m
+    else
+      List.concat_map
+        (fun lead -> List.map (fun s -> lead @ s) (prefixes short m))
+        (List.sort_uniq compare (List.map (take (k - m)) pl))
+  in
+  let survivors =
+    if union then List.sort_uniq compare (pl @ ps)
+    else List.filter (fun p -> List.mem p ps) pl
+  in
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      let g = take depth p in
+      Hashtbl.replace groups g (1 + Option.value ~default:0 (Hashtbl.find_opt groups g)))
+    survivors;
+  ( List.length survivors,
+    Hashtbl.fold
+      (fun _ n acc -> acc +. (float_of_int (max n par) /. float_of_int par))
+      groups 0.0 )
+
+let big = 1 lsl 40
+
+(* One co-iteration query: a case name, two tensors and a depth. *)
+let arb_coiter_case =
+  let open QCheck.Gen in
+  let tensor name fmt dims coord =
+    map
+      (fun cs ->
+        T.of_entries ~name ~format:fmt ~dims (List.map (fun c -> (c, 1.0)) cs))
+      (list_size (int_bound 14) (flatten_l (List.map coord dims)))
+  in
+  let small d = int_bound (d - 1) in
+  let huge _ = oneofl [ 0; 1; big / 2; big - 1 ] in
+  let pair case fa da fb db coord depths =
+    map3
+      (fun a b depth -> (case, a, b, depth))
+      (tensor "a" fa da coord) (tensor "b" fb db coord) (oneofl depths)
+  in
+  let dcsc = F.make ~mode_order:[ 1; 0 ] [ F.Compressed; F.Compressed ] in
+  let csf3 mo = F.make ~mode_order:mo [ F.Compressed; F.Compressed; F.Compressed ] in
+  let perms = [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 0; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ]; [ 2; 1; 0 ] ] in
+  oneof
+    [
+      pair "csr" (F.csr ()) [ 4; 5 ] (F.csr ()) [ 4; 5 ] small [ 0; 1 ];
+      pair "csc" (F.csc ()) [ 4; 5 ] (F.csc ()) [ 4; 5 ] small [ 0; 1 ];
+      pair "dcsc" dcsc [ 4; 5 ] dcsc [ 4; 5 ] small [ 0; 1 ];
+      oneofl perms >>= (fun mo ->
+        pair "csf3" (csf3 mo) [ 3; 4; 5 ] (csf3 mo) [ 3; 4; 5 ] small [ 0; 1; 2 ]);
+      oneofl [ F.csr (); F.csc (); dcsc ] >>= (fun fa ->
+        pair "broadcast vector" fa [ 4; 5 ] (F.sv ()) [ 5 ] small [ 1 ]);
+      oneofl perms >>= (fun mo ->
+        pair "broadcast matrix" (csf3 mo) [ 3; 4; 5 ] (F.csr ()) [ 4; 5 ] small [ 2 ]);
+      pair "overflow" dcsc [ big; big ] dcsc [ big; big ] huge [ 0; 1 ];
+      pair "overflow broadcast" dcsc [ big; big ] (F.sv ()) [ big ] huge [ 1 ];
+    ]
+  |> QCheck.make ~print:(fun (case, a, b, depth) ->
+         Fmt.str "%s depth %d@.%a@.%a" case depth T.pp a T.pp b)
+
+let prop_coiter_matches_reference =
+  QCheck.Test.make ~name:"coiter counts match a storage-order reference"
+    ~count:400 arb_coiter_case (fun (_, a, b, depth) ->
+      List.for_all
+        (fun (union, par) ->
+          let count, launch = naive_coiter ~union ~par a b ~depth in
+          let near x = Float.abs (x -. launch) <= 1e-9 *. Float.max 1.0 launch in
+          Stats.prefix_coiter_count ~union a b ~depth = count
+          && Stats_cache.prefix_coiter_count ~union a b ~depth = count
+          && near (Stats.coiter_launch_total ~union ~par a b ~depth)
+          && near (Stats_cache.coiter_launch_total ~union ~par a b ~depth))
+        [ (false, 1); (false, 4); (true, 1); (true, 16) ])
+
 let prop_num_positions_consistent =
   QCheck.Test.make ~name:"level position counts are monotone products" ~count:100
     (arb_entries [ 3; 4; 5 ])
@@ -323,6 +409,7 @@ let qcheck_cases =
       prop_convert_preserves;
       prop_csf_roundtrip;
       prop_coiter_counts_bounds;
+      prop_coiter_matches_reference;
       prop_num_positions_consistent;
     ]
 

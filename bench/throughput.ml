@@ -1,8 +1,10 @@
 (** Estimate-throughput microbenchmark: how many schedule points per
     second can the analytic oracle cost?
 
-    The workload is exactly what the autotuner and fuzzer pay per
-    candidate — a full [compile] + [Sim.estimate] of one kernel stage
+    The workload is what the fuzzer and every one-off compile pay per
+    point (the autotuner compiles each structure once and binds its
+    parallelization factors per candidate) — a full [compile] +
+    [Sim.estimate] of one kernel stage
     against fixed inputs, repeated [reps] times — measured twice: once
     with the process-wide statistics cache disabled (every point
     re-derives its dataset statistics from the raw tensors) and once

@@ -1128,9 +1128,9 @@ let estimate ?config (c : Compile.compiled) =
 
     [cycles = max(compute, memory)] in [finish], so the max of the two
     underestimates is a true lower bound.  Admissibility
-    ([estimate_bound <= estimate]) is enforced by
-    [STARDUST_CHECK_BOUND=1] in the evaluation layer and by an
-    oracle-backed QCheck property.
+    ([estimate_bound <= estimate]) is checked at every feasible point of
+    the paper kernels' search spaces and by an oracle-backed QCheck
+    property.
 
     [streamed_elems] is the mandatory stored-entry count; [occupancy] is
     the largest last-level [fiber_launch_total ~par:inner_par] among the

@@ -16,7 +16,13 @@
       are captured rather than escaping.
     - {!compile} / {!compile_string} are thin raising shims kept for
       existing callers: they raise {!Compile_error} with the rendered
-      diagnostic text. *)
+      diagnostic text.
+
+    Underneath both, compilation is two steps: {!structure_result}
+    compiles a schedule with its parallelization factors left as
+    markers, and {!bind} stamps real factors into that structure.
+    {!compile_result} is the two in sequence; a search runs the first
+    once per structure and the second once per point. *)
 
 module Tensor = Stardust_tensor.Tensor
 module Format = Stardust_tensor.Format
@@ -27,6 +33,7 @@ module Schedule = Stardust_schedule.Schedule
 module Diag = Stardust_diag.Diag
 module Trace = Stardust_obs.Trace
 module Metrics = Stardust_obs.Metrics
+module Spatial_ir = Stardust_spatial.Spatial_ir
 
 (* Span categories follow the [Diag.stage] enum, so trace viewers and
    diagnostics speak the same stage vocabulary. *)
@@ -41,7 +48,7 @@ type compiled = {
   name : string;
   schedule : Schedule.t;
   plan : Plan.t;
-  program : Stardust_spatial.Spatial_ir.program;
+  program : Spatial_ir.program;
   inputs : (string * Tensor.t) list;
 }
 
@@ -75,22 +82,36 @@ let diag_of_exn ~name (e : exn) : Diag.t =
         ~context:(("exception", Printexc.to_string e) :: ctx)
         "unexpected exception during compilation"
 
-(** [compile_result ~name sched ~inputs] runs planning (co-iteration
-    analysis and memory binding) and lowering, returning either the
-    compiled kernel or the accumulated diagnostics.  No stage exception
-    escapes. *)
-let compile_result ?(name = "kernel") ?sram_budget (sched : Schedule.t)
-    ~(inputs : (string * Tensor.t) list) :
-    (compiled, Diag.t list) result =
-  count "compile_total" "kernels entering the compile driver";
-  let c = Diag.Collector.create () in
-  let result =
+(* Structure vs binding.  The plan and the lowered program depend on the
+   parallelization factors only through values stamped last: the plan's
+   [inner_par]/[outer_par], the schedule's [innerPar]/[outerPar]
+   environment, and the program's [par]/[scan_par] fields and [env].  So
+   a kernel is compiled once as a par-free structure, carrying the
+   {!Spatial_ir.par_inner}/{!Spatial_ir.par_outer} markers in all of
+   those places, and {!bind} stamps the real factors.  A search compiles
+   each structure once and binds it for every factor pair it visits. *)
+
+let with_pars ~inner ~outer sched =
+  Schedule.rebind_environment
+    (Schedule.rebind_environment sched "innerPar" inner)
+    "outerPar" outer
+
+(* Plan, lower and validate [sched] with its factors left as markers. *)
+let structure ~name ?sram_budget sched ~inputs =
+  let sched =
+    with_pars ~inner:Spatial_ir.par_inner ~outer:Spatial_ir.par_outer sched
+  in
   match
     let plan =
       Trace.with_span ~cat:(span_cat Diag.Plan)
         ~args:[ ("kernel", name) ]
         ("plan " ^ name)
         (fun () -> Plan.build ?sram_budget sched ~inputs)
+    in
+    let plan =
+      { plan with
+        Plan.inner_par = Spatial_ir.par_inner;
+        outer_par = Spatial_ir.par_outer }
     in
     let program =
       Trace.with_span ~cat:(span_cat Diag.Lower)
@@ -107,27 +128,66 @@ let compile_result ?(name = "kernel") ?sram_budget (sched : Schedule.t)
         Trace.with_span ~cat:(span_cat Diag.Codegen)
           ~args:[ ("kernel", name) ]
           ("validate " ^ name)
-          (fun () -> Stardust_spatial.Spatial_ir.validate program)
+          (fun () -> Spatial_ir.validate program)
       with
       | [] -> Ok { name; schedule = sched; plan; program; inputs }
       | errs ->
           (* validation reports every structural defect, not just the
              first: one diagnostic each *)
-          List.iter
-            (fun m ->
-              Diag.Collector.add c
-                (Diag.error ~stage:Diag.Codegen ~code:Diag.code_codegen
+          Error
+            (List.map
+               (fun m ->
+                 Diag.error ~stage:Diag.Codegen ~code:Diag.code_codegen
                    ~context:[ ("kernel", name) ]
-                   "generated Spatial program is invalid: %s" m))
-            errs;
-          Error (Diag.Collector.to_list c))
-  in
-  (match result with
-  | Error _ ->
+                   "generated Spatial program is invalid: %s" m)
+               errs))
+
+(** Stamp real factors into a structure: the result is the compilation
+    of the structure's schedule at [innerPar = inner] and
+    [outerPar = outer].
+    @raise Invalid_argument when [c] is not a structure or a factor is
+    negative. *)
+let bind ~inner ~outer (c : compiled) =
+  if
+    c.plan.Plan.inner_par <> Spatial_ir.par_inner
+    || c.plan.Plan.outer_par <> Spatial_ir.par_outer
+  then invalid_arg "Compile.bind: not a par-free structure";
+  let schedule = with_pars ~inner ~outer c.schedule in
+  {
+    c with
+    schedule;
+    plan = { c.plan with Plan.sched = schedule; inner_par = inner; outer_par = outer };
+    program = Spatial_ir.bind_par ~inner ~outer c.program;
+  }
+
+let counted result =
+  count "compile_total" "kernels entering the compile driver";
+  (match result () with
+  | Error _ as e ->
       count "compile_errors_total"
-        "compilations that produced error diagnostics"
-  | Ok _ -> ());
-  result
+        "compilations that produced error diagnostics";
+      e
+  | Ok _ as ok -> ok)
+
+(** [structure_result ~name sched ~inputs] compiles the par-free
+    structure of [sched] (see {!bind}); [sched]'s own factors are
+    ignored. *)
+let structure_result ?(name = "kernel") ?sram_budget (sched : Schedule.t)
+    ~(inputs : (string * Tensor.t) list) : (compiled, Diag.t list) result =
+  counted (fun () -> structure ~name ?sram_budget sched ~inputs)
+
+(** [compile_result ~name sched ~inputs] runs planning (co-iteration
+    analysis and memory binding) and lowering of [sched]'s structure,
+    then binds [sched]'s factors, returning either the compiled kernel or
+    the accumulated diagnostics.  No stage exception escapes. *)
+let compile_result ?(name = "kernel") ?sram_budget (sched : Schedule.t)
+    ~(inputs : (string * Tensor.t) list) : (compiled, Diag.t list) result =
+  let inner, outer = Plan.pars sched in
+  counted (fun () ->
+      Result.bind (structure ~name ?sram_budget sched ~inputs) (fun s ->
+          match bind ~inner ~outer s with
+          | c -> Ok c
+          | exception e -> Error [ diag_of_exn ~name e ]))
 
 (** Parse an index-notation string into its canonical schedule, reporting
     parse and scheduling failures as located diagnostics. *)

@@ -288,6 +288,13 @@ let style_of_plan = function
   | Pos_plan _ -> Memory.Stream_loop
   | Scan_plan _ -> Memory.Scan_loop
 
+(** The schedule's [(innerPar, outerPar)] factors, [(16, 1)] when unset.
+    They are the only part of a plan the schedule's environment decides,
+    and {!build} stamps them last. *)
+let pars sched =
+  ( Schedule.env_value ~default:16 sched "innerPar",
+    Schedule.env_value ~default:1 sched "outerPar" )
+
 (** Build the full compilation plan for a scheduled kernel over the given
     input tensors.  [sram_budget] bounds on-chip staging of gather arrays
     (defaults to 4 PMUs' worth of words). *)
@@ -378,8 +385,7 @@ let build ?(sram_budget = 4 * 16 * 4096) sched ~(inputs : (string * Tensor.t) li
         (name, Memory.analyze ctx))
       accesses
   in
-  let ip = Schedule.env_value ~default:16 sched "innerPar" in
-  let op = Schedule.env_value ~default:1 sched "outerPar" in
+  let ip, op = pars sched in
   {
     sched;
     metas;

@@ -5,7 +5,10 @@
     point evaluates to exactly the heuristic's schedule), compiled,
     pruned ({!Prune}), and finally costed with the analytic simulator
     {!Stardust_capstan.Sim.estimate} — the same oracle the paper's
-    benchmarks use at scale.
+    benchmarks use at scale.  Compilation is split: the par-free
+    {!structure} of a point depends only on its loop order, split and
+    gather region, so a search compiles each structure once and
+    {!bind}s every point's parallelization factors to it.
 
     Evaluations are memoised in a {!Pool.Cache} keyed by a canonical
     fingerprint of (expression, formats, point, dataset statistics,
@@ -25,6 +28,7 @@ module Compile = Stardust_core.Compile
 module Arch = Stardust_capstan.Arch
 module Sim = Stardust_capstan.Sim
 module Resources = Stardust_capstan.Resources
+module Spatial_ir = Stardust_spatial.Spatial_ir
 
 (** One search problem: the fixed algorithm/format/data triple the
     explorer searches schedules for. *)
@@ -153,17 +157,39 @@ let bound_ctx (p : problem) : bound_ctx =
   in
   { bc_streamed = streamed; bc_occ = occ }
 
+(** A point's compiled structure: the par-free compilation
+    ({!Compile.structure_result}) shared by every point with the same loop
+    order, split and gather region, or the reason all of those points are
+    infeasible — a schedule or compile failure, or an on-chip footprint
+    over the chip's capacity.  Neither depends on a parallelization
+    factor. *)
+type structure = (Compile.compiled, string) result
+
+type structure_key =
+  string list option * (string * int) option * Point.gather_region
+
+let structure_key (pt : Point.t) : structure_key =
+  (pt.Point.order, pt.Point.split, pt.Point.gather)
+
 (** A problem with its per-search work hoisted: the problem key is
     fingerprinted once, the inputs' dataset statistics are resolved
     into the process-wide {!Stats_cache}, and the lower bound's
     mandatory-traffic context is extracted — so each of the hundreds of
     points a search visits starts from warm statistics instead of
-    re-deriving them from the raw tensors. *)
-type prepared = { problem : problem; key : string; bound : bound_ctx }
+    re-deriving them from the raw tensors.  [structures] holds each
+    structure the search has compiled, by {!structure_key}; it dies with
+    the search. *)
+type prepared = {
+  problem : problem;
+  key : string;
+  bound : bound_ctx;
+  structures : (structure_key, structure) Hashtbl.t;
+}
 
 let prepare (p : problem) : prepared =
   List.iter (fun (_, t) -> ignore (Stats_cache.stats t)) p.inputs;
-  { problem = p; key = problem_key p; bound = bound_ctx p }
+  { problem = p; key = problem_key p; bound = bound_ctx p;
+    structures = Hashtbl.create 16 }
 
 (** Largest mandatory last-level fiber-launch total at the point's inner
     parallelism — the occupancy statistic of {!Sim.estimate_bound}. *)
@@ -210,34 +236,45 @@ let resource_frac (e : eval) =
              u.Resources.shuffle_frac ])
   | Infeasible _ -> None
 
-(** Compile and cost one point (uncached). *)
-let compute (p : problem) (pt : Point.t) : eval =
+(** Compile one structure (uncached), its schedule built at the marker
+    factors. *)
+let structure (p : problem) ((order, split, gather) : structure_key) :
+    structure =
   let arch = p.config.Sim.arch in
   match
     let d =
-      { Auto.order = pt.Point.order; inner_par = pt.Point.inner_par;
-        outer_par = pt.Point.outer_par }
+      { Auto.order; inner_par = Spatial_ir.par_inner;
+        outer_par = Spatial_ir.par_outer }
     in
     let sched = Auto.schedule_point ~formats:p.formats p.expr d in
     let sched =
-      match pt.Point.split with
+      match split with
       | None -> sched
       | Some (v, c) -> Schedule.split_up sched v (v ^ "_o") (v ^ "_i") c
     in
     let sram_budget =
-      match pt.Point.gather with
+      match gather with
       | Point.Auto -> None
       | Point.On_chip -> Some (arch.Arch.num_pmu * Arch.pmu_words arch)
       | Point.Off_chip -> Some 0
     in
-    Compile.compile ?sram_budget ~name:p.name sched ~inputs:p.inputs
+    Compile.structure_result ?sram_budget ~name:p.name sched ~inputs:p.inputs
   with
-  | exception Compile.Compile_error m ->
-      { point = pt; outcome = Infeasible (Fmt.str "compile: %s" m) }
-  | exception Schedule.Schedule_error m ->
-      { point = pt; outcome = Infeasible (Fmt.str "schedule: %s" m) }
-  | compiled -> (
-      match Prune.check ~arch compiled with
+  | exception Schedule.Schedule_error m -> Error (Fmt.str "schedule: %s" m)
+  | Error ds -> Error (Fmt.str "compile: %s" (Compile.render_diags ds))
+  | Ok s -> (
+      match Prune.footprint ~arch s with Some r -> Error r | None -> Ok s)
+
+(** Cost one point on its structure: bind the point's factors, check
+    resource capacity, estimate. *)
+let bind (p : problem) (s : structure) (pt : Point.t) : eval =
+  match s with
+  | Error reason -> { point = pt; outcome = Infeasible reason }
+  | Ok s -> (
+      let compiled =
+        Compile.bind ~inner:pt.Point.inner_par ~outer:pt.Point.outer_par s
+      in
+      match Prune.capacity ~arch:p.config.Sim.arch compiled with
       | Prune.Reject reason -> { point = pt; outcome = Infeasible reason }
       | Prune.Pass usage -> (
           match Sim.estimate ~config:p.config compiled with
@@ -254,39 +291,46 @@ let compute (p : problem) (pt : Point.t) : eval =
                        message);
               }))
 
-(** Memoised evaluation of one point of a {!prepared} problem (the
-    per-problem key is fingerprinted once per search, not per point).
+(** Compile and cost one point (uncached): its own structure, bound. *)
+let compute (p : problem) (pt : Point.t) : eval =
+  bind p (structure p (structure_key pt)) pt
 
-    Search metrics are counted here — per {e query}, not per cache fill:
-    query counts depend only on the search trajectory, which is
-    deterministic, whereas which worker fills a raced cache key is not. *)
-let evaluate ~(cache : eval Pool.Cache.t) (pre : prepared) (pt : Point.t) =
-  let key = pre.key and p = pre.problem in
-  let module Metrics = Stardust_obs.Metrics in
-  Metrics.inc
-    (Metrics.counter ~help:"candidate evaluations queried"
-       "explore_evals_total");
-  let e =
-    Pool.Cache.find_or_compute cache
-      (key ^ "|" ^ Point.fingerprint pt)
-      (fun () -> compute p pt)
+(** Memoised evaluation of a batch of points of a {!prepared} problem, in
+    input order.  Structures the search has not compiled yet are compiled
+    first, each exactly once, in parallel; then every point binds its
+    structure in parallel.  Compiling before the fan-out keeps the work,
+    and every metric counted under it, independent of the worker count.
+
+    Search metrics are counted per {e query}, not per cache fill: query
+    counts depend only on the search trajectory, which is deterministic,
+    whereas which worker fills a raced cache key is not. *)
+let evaluate ?pool ~workers ~(cache : eval Pool.Cache.t) (pre : prepared)
+    (pts : Point.t list) : eval list =
+  let p = pre.problem in
+  let todo =
+    List.map structure_key pts
+    |> List.filter (fun k -> not (Hashtbl.mem pre.structures k))
+    |> List.sort_uniq compare |> Array.of_list
   in
-  (match e.outcome with
-  | Infeasible _ ->
-      Metrics.inc
-        (Metrics.counter
-           ~help:"evaluations rejected by pruning or capacity guards"
-           "explore_pruned_total")
-  | Feasible { report; _ } ->
-      (* Debug guard: with STARDUST_CHECK_BOUND=1 every full evaluation
-         cross-checks the stats-only lower bound's admissibility.  An
-         inadmissible bound would let budgeted searches discard optimal
-         points, so a violation is a hard failure, not a warning. *)
-      if Sys.getenv_opt "STARDUST_CHECK_BOUND" = Some "1" then begin
-        let b = lower_bound pre pt in
-        if b > report.Sim.cycles +. 1e-6 then
-          Fmt.failwith
-            "lower_bound inadmissible: %g > %g cycles at %s (problem %s)" b
-            report.Sim.cycles (Point.to_string pt) p.name
-      end);
-  e
+  Array.iter2 (Hashtbl.replace pre.structures) todo
+    (Pool.map ~workers ?pool (structure p) todo);
+  let module Metrics = Stardust_obs.Metrics in
+  let one pt =
+    Metrics.inc
+      (Metrics.counter ~help:"candidate evaluations queried"
+         "explore_evals_total");
+    let e =
+      Pool.Cache.find_or_compute cache
+        (pre.key ^ "|" ^ Point.fingerprint pt)
+        (fun () -> bind p (Hashtbl.find pre.structures (structure_key pt)) pt)
+    in
+    (match e.outcome with
+    | Infeasible _ ->
+        Metrics.inc
+          (Metrics.counter
+             ~help:"evaluations rejected by pruning or capacity guards"
+             "explore_pruned_total")
+    | Feasible _ -> ());
+    e
+  in
+  Array.to_list (Pool.map ~workers ?pool one (Array.of_list pts))

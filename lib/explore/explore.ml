@@ -287,8 +287,7 @@ let run ?workers ?pool ?(strategy = Exhaustive) ?budget ?axes ?cache
           else false)
         pts
     in
-    Array.to_list
-      (Pool.map ~workers ?pool (Eval.evaluate ~cache pre) (Array.of_list pts))
+    Eval.evaluate ~workers ?pool ~cache pre pts
   in
   (* The heuristic seed is always the first submission: every strategy
      starts from a known-good point, and it always fits the budget. *)

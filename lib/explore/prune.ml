@@ -10,6 +10,9 @@
        full replica accounting; the point is rejected when any of
        PCU/PMU/MC/shuffle demand exceeds its budget.
 
+    The first reads no parallelization factor, so the evaluator runs it
+    ({!footprint}) once per compiled structure and the second
+    ({!capacity}) once per factor-bound point; {!check} runs both.
     Points that pass return their {!Stardust_capstan.Resources.usage} so
     the evaluator does not count twice.  (A third, implicit prune happens
     upstream: candidates that fail to compile — e.g. split loops, which
@@ -49,15 +52,26 @@ let onchip_words (c : Compile.compiled) =
   List.iter go c.Compile.program.accel;
   !words
 
-let check ?(arch = Arch.default) (c : Compile.compiled) =
+(** The footprint check alone: [Some reason] when the program cannot be
+    placed under any replication.  It reads no parallelization factor, so
+    a search runs it once per compiled structure. *)
+let footprint ?(arch = Arch.default) (c : Compile.compiled) =
   let capacity = arch.Arch.num_pmu * Arch.pmu_words arch in
-  let footprint = onchip_words c in
-  if footprint > capacity then
-    Reject
-      (Fmt.str "on-chip footprint %d words exceeds chip capacity %d"
-         footprint capacity)
-  else
-    let u = Resources.count arch c in
-    if not u.Resources.feasible then
-      Reject (Fmt.str "over budget: %a" Resources.pp u)
-    else Pass u
+  let words = onchip_words c in
+  if words > capacity then
+    Some
+      (Fmt.str "on-chip footprint %d words exceeds chip capacity %d" words
+         capacity)
+  else None
+
+(** The resource-capacity check alone, on a factor-bound program. *)
+let capacity ?(arch = Arch.default) (c : Compile.compiled) =
+  let u = Resources.count arch c in
+  if not u.Resources.feasible then
+    Reject (Fmt.str "over budget: %a" Resources.pp u)
+  else Pass u
+
+let check ?arch (c : Compile.compiled) =
+  match footprint ?arch c with
+  | Some reason -> Reject reason
+  | None -> capacity ?arch c

@@ -126,6 +126,23 @@ let set_environment t var c =
   log (Fmt.str "environment(%s, %d)" var c)
     { t with environment = (var, c) :: List.remove_assoc var t.environment }
 
+(** [rebind_environment t var c] gives [var] the value [c] as if the
+    command that set it had said [c]: the environment entry and that
+    command's trace line change in place, and no command is appended.  A
+    no-op when [var] is unset. *)
+let rebind_environment t var c =
+  match List.assoc_opt var t.environment with
+  | None -> t
+  | Some old ->
+      let cmd v = Fmt.str "environment(%s, %d)" var v in
+      let before = cmd old and after = cmd c in
+      {
+        t with
+        environment =
+          List.map (fun (k, v) -> if k = var then (k, c) else (k, v)) t.environment;
+        trace = List.map (fun s -> if s = before then after else s) t.trace;
+      }
+
 let env_value ?default t var =
   match (List.assoc_opt var t.environment, default) with
   | Some v, _ -> v

@@ -282,3 +282,50 @@ let validate (p : program) =
   List.rev !errs
 
 let is_valid p = validate p = []
+
+(* -------------------------------------------------------------------- *)
+(* Parallelization factors                                               *)
+(* -------------------------------------------------------------------- *)
+
+(** Reserved par values standing for the [innerPar] and [outerPar]
+    factors in a par-free {e structure}.  The lowered program depends on
+    the factors only through the values stamped in [par]/[scan_par]
+    fields and [env], so a plan lowered with these markers serves every
+    factor choice; {!bind_par} then stamps the real ones.  Neither is a
+    valid factor. *)
+let par_inner = -1
+
+let par_outer = -2
+
+(** Substitute [inner] for {!par_inner} and [outer] for {!par_outer} in
+    every [par] and [scan_par] field and every [env] value.
+    @raise Invalid_argument on a negative factor, or on a negative value
+    that is neither marker. *)
+let bind_par ~inner ~outer (p : program) =
+  if inner < 0 || outer < 0 then
+    invalid_arg (Fmt.str "Spatial_ir.bind_par: negative factor %d/%d" inner outer);
+  let par n =
+    if n = par_inner then inner
+    else if n = par_outer then outer
+    else if n < 0 then invalid_arg (Fmt.str "Spatial_ir.bind_par: stray par %d" n)
+    else n
+  in
+  let scan s = { s with scan_par = par s.scan_par } in
+  let rec stmt s =
+    match s with
+    | Load_burst b -> Load_burst { b with par = par b.par }
+    | Store_burst b -> Store_burst { b with par = par b.par }
+    | Foreach f -> Foreach { f with par = par f.par; body = List.map stmt f.body }
+    | Reduce r -> Reduce { r with par = par r.par; body = List.map stmt r.body }
+    | Foreach_scan f ->
+        Foreach_scan { f with scan = scan f.scan; body = List.map stmt f.body }
+    | Reduce_scan r ->
+        Reduce_scan { r with scan = scan r.scan; body = List.map stmt r.body }
+    | Alloc _ | Let _ | Deq _ | Write _ | Enq _ | Gen_bitvector _ | Comment _ ->
+        s
+  in
+  {
+    p with
+    env = List.map (fun (k, v) -> (k, par v)) p.env;
+    accel = List.map stmt p.accel;
+  }

@@ -14,6 +14,17 @@ module Point = Stardust_explore.Point
 module Space = Stardust_explore.Space
 module Pool = Stardust_explore.Pool
 module Pareto = Stardust_explore.Pareto
+module Prune = Stardust_explore.Prune
+module Kx = Stardust_core.Kernels_extra
+module Auto = Stardust_core.Autoschedule
+module Plan = Stardust_core.Plan
+module Lower = Stardust_core.Lower
+module Compile = Stardust_core.Compile
+module Schedule = Stardust_schedule.Schedule
+module Spatial_ir = Stardust_spatial.Spatial_ir
+module Arch = Stardust_capstan.Arch
+module Sim = Stardust_capstan.Sim
+module Metrics = Stardust_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Legality predicates (shared by the heuristic and the explorer)      *)
@@ -463,10 +474,10 @@ let test_budget_efficiency () =
    simulator's estimate.  Checked over oracle-generated cases — the same
    adversarial corpus the differential tests use — at a grid of
    parallelization points. *)
-let bound_admissible seed =
+let oracle_problem seed =
   let case = Stardust_oracle.Gen.gen ~seed in
   match Stardust_oracle.Case.prepare case with
-  | Error _ -> true
+  | Error _ -> None
   | Ok prep ->
       let formats =
         List.map
@@ -478,11 +489,15 @@ let bound_admissible seed =
               case.Stardust_oracle.Case.result_format );
           ]
       in
-      let p =
-        Eval.problem_of_string ~name:"oracle" ~formats
-          ~inputs:prep.Stardust_oracle.Case.inputs
-          case.Stardust_oracle.Case.expr
-      in
+      Some
+        (Eval.problem_of_string ~name:"oracle" ~formats
+           ~inputs:prep.Stardust_oracle.Case.inputs
+           case.Stardust_oracle.Case.expr)
+
+let bound_admissible seed =
+  match oracle_problem seed with
+  | None -> true
+  | Some p ->
       let pre = Eval.prepare p in
       List.iter
         (fun (op, ip) ->
@@ -493,8 +508,8 @@ let bound_admissible seed =
               let b = Eval.lower_bound pre pt in
               if b > cycles +. 1e-6 then
                 QCheck.Test.fail_reportf
-                  "seed %d %s: bound %.2f > estimate %.2f at op=%d ip=%d"
-                  seed case.Stardust_oracle.Case.expr b cycles op ip)
+                  "seed %d %a: bound %.2f > estimate %.2f at op=%d ip=%d"
+                  seed Stardust_ir.Ast.pp_assign p.Eval.expr b cycles op ip)
         [ (1, 1); (1, 16); (4, 4); (16, 1); (16, 16) ];
       true
 
@@ -507,13 +522,223 @@ let prop_bound_admissible =
    [Invalid_argument "Array.sub"] from inside [Sim.estimate] (1440,
    9923), or made [Gen.gen]'s dense fallback find no legal loop order
    (281, 778). *)
+let regression_seeds = [ 1440; 9923; 281; 778 ]
+
 let test_bound_regression_seeds () =
   List.iter
     (fun seed ->
       Alcotest.(check bool)
         (Fmt.str "seed %d bound admissible" seed)
         true (bound_admissible seed))
-    [ 1440; 9923; 281; 778 ]
+    regression_seeds
+
+(* Random inputs for one kernel stage, every dimension [n]. *)
+let stage_problem ~n (spec : K.spec) (st : K.stage) =
+  let inputs =
+    List.filter_map
+      (fun (tname, fmt) ->
+        if tname = st.K.result || tname.[0] = '_' then None
+        else
+          let order = F.order fmt in
+          let dims = List.init order (fun _ -> n) in
+          let seed = Hashtbl.hash tname in
+          Some
+            ( tname,
+              if order = 0 then T.scalar ~name:tname 1.5
+              else if F.is_fully_dense fmt then
+                D.small_random ~seed ~name:tname ~format:fmt ~dims ~density:1.0 ()
+              else
+                D.small_random ~seed ~name:tname ~format:fmt ~dims ~density:0.1 ()
+            ))
+      st.K.formats
+  in
+  Eval.problem_of_string ~name:(String.lowercase_ascii spec.K.kname)
+    ~formats:st.K.formats ~inputs st.K.expr
+
+let efficiency_points (p : Eval.problem) =
+  Space.points ~formats:p.Eval.formats p.Eval.expr
+    (Space.efficiency_axes ~formats:p.Eval.formats p.Eval.expr)
+
+(* ------------------------------------------------------------------ *)
+(* Structure + bind                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A point compiled the direct way, as perfbench replays it: the
+   schedule built at the point's own factors, planned, lowered and
+   validated, with no structure in between.  [None] when any stage
+   fails. *)
+let direct_compile (p : Eval.problem) (pt : Point.t) =
+  let arch = p.Eval.config.Sim.arch in
+  match
+    let d =
+      { Auto.order = pt.Point.order; inner_par = pt.Point.inner_par;
+        outer_par = pt.Point.outer_par }
+    in
+    let sched = Auto.schedule_point ~formats:p.Eval.formats p.Eval.expr d in
+    let sched =
+      match pt.Point.split with
+      | None -> sched
+      | Some (v, c) -> Schedule.split_up sched v (v ^ "_o") (v ^ "_i") c
+    in
+    let sram_budget =
+      match pt.Point.gather with
+      | Point.Auto -> None
+      | Point.On_chip -> Some (arch.Arch.num_pmu * Arch.pmu_words arch)
+      | Point.Off_chip -> Some 0
+    in
+    let plan = Plan.build ?sram_budget sched ~inputs:p.Eval.inputs in
+    let program = Lower.lower ~name:p.Eval.name plan in
+    (sched, plan, program)
+  with
+  | exception _ -> None
+  | sched, plan, program ->
+      if Spatial_ir.validate program <> [] then None
+      else
+        Some
+          { Compile.name = p.Eval.name; schedule = sched; plan; program;
+            inputs = p.Eval.inputs }
+
+(* The outcome [Eval] would report for a directly compiled point. *)
+let direct_outcome (p : Eval.problem) c =
+  match Prune.check ~arch:p.Eval.config.Sim.arch c with
+  | Prune.Reject r -> Eval.Infeasible r
+  | Prune.Pass usage -> (
+      match Sim.estimate ~config:p.Eval.config c with
+      | report -> Eval.Feasible { report; usage }
+      | exception Sim.Sim_error { kind; message } ->
+          Eval.Infeasible
+            (Fmt.str "simulate(%s): %s" (Sim.error_kind_name kind) message))
+
+let compile_failure r =
+  let starts pre =
+    String.length r >= String.length pre
+    && String.sub r 0 (String.length pre) = pre
+  in
+  starts "compile: " || starts "schedule: "
+
+(* Every point of [p]'s efficiency space, through [Eval]'s structure +
+   bind and through a direct compile at the point's factors, must give
+   equal programs, plan factors, resource counts, prune verdicts and
+   estimates, and fail to compile on the same points.  Returns how many
+   points compiled. *)
+let check_bind_equals_direct what (p : Eval.problem) =
+  let arch = p.Eval.config.Sim.arch in
+  let structures = Hashtbl.create 16 in
+  let structure pt =
+    let k = Eval.structure_key pt in
+    match Hashtbl.find_opt structures k with
+    | Some s -> s
+    | None ->
+        let s = Eval.structure p k in
+        Hashtbl.add structures k s;
+        s
+  in
+  List.fold_left
+    (fun compiled pt ->
+      let fail fmt =
+        Alcotest.failf ("%s %s: " ^^ fmt) what (Point.to_string pt)
+      in
+      let s = structure pt in
+      let via_eval = Eval.bind p s pt in
+      match (s, direct_compile p pt) with
+      | Error r, None when compile_failure r -> compiled
+      | _, None -> fail "only the direct compile failed"
+      | Error r, Some _ when compile_failure r ->
+          fail "only the structure failed to compile: %s" r
+      | _, Some d ->
+          if via_eval.Eval.outcome <> direct_outcome p d then
+            fail "outcomes differ";
+          (match s with
+          | Error _ -> ()
+          | Ok s ->
+              let b =
+                Compile.bind ~inner:pt.Point.inner_par
+                  ~outer:pt.Point.outer_par s
+              in
+              if not (Spatial_ir.equal_program b.Compile.program d.Compile.program)
+              then fail "programs differ";
+              if
+                ( b.Compile.plan.Plan.inner_par,
+                  b.Compile.plan.Plan.outer_par )
+                <> (d.Compile.plan.Plan.inner_par, d.Compile.plan.Plan.outer_par)
+              then fail "plan factors differ";
+              if Resources.count arch b <> Resources.count arch d then
+                fail "resource counts differ";
+              if Prune.check ~arch b <> Prune.check ~arch d then
+                fail "prune verdicts differ");
+          compiled + 1)
+    0 (efficiency_points p)
+
+let test_bind_equals_direct_kernels () =
+  List.iter
+    (fun (spec : K.spec) ->
+      List.iter
+        (fun st ->
+          let p = stage_problem ~n:16 spec st in
+          let what = Fmt.str "%s [%s]" spec.K.kname st.K.expr in
+          Alcotest.(check bool)
+            (what ^ ": some point compiles")
+            true
+            (check_bind_equals_direct what p > 0))
+        spec.K.stages)
+    (K.all @ Kx.all)
+
+let test_bind_equals_direct_oracle () =
+  List.iter
+    (fun seed ->
+      match oracle_problem seed with
+      | None -> ()
+      | Some p ->
+          ignore (check_bind_equals_direct (Fmt.str "oracle seed %d" seed) p))
+    regression_seeds
+
+(* A search compiles each distinct (order, split, gather) structure it
+   visits exactly once, and no point on its own. *)
+let test_search_compiles_structures_once () =
+  List.iter
+    (fun strategy ->
+      let p = stage_problem ~n:16 K.sddmm (List.hd K.sddmm.K.stages) in
+      let axes = Space.efficiency_axes ~formats:p.Eval.formats p.Eval.expr in
+      Metrics.reset ();
+      let r = Explore.run ~workers:2 ~strategy ~axes p in
+      let compiles = Metrics.value (Metrics.counter "compile_total") in
+      Metrics.reset ();
+      let structures =
+        List.sort_uniq compare
+          (List.map
+             (fun (e : Eval.eval) -> Eval.structure_key e.Eval.point)
+             r.Explore.evaluated)
+      in
+      Alcotest.(check int)
+        (Explore.strategy_name strategy ^ ": one compile per structure")
+        (List.length structures) (int_of_float compiles);
+      Alcotest.(check bool)
+        (Explore.strategy_name strategy ^ ": structures are shared")
+        true
+        (List.length structures < List.length r.Explore.evaluated))
+    [ Explore.Exhaustive; Explore.Halving ]
+
+(* The racing strategy's admissibility, checked exhaustively: the
+   stats-only bound never exceeds the estimate at any feasible point of
+   the efficiency space of any paper kernel at n=32. *)
+let test_bound_admissible_kernels () =
+  List.iter
+    (fun (spec : K.spec) ->
+      let p = stage_problem ~n:32 spec (List.hd spec.K.stages) in
+      let axes = Space.efficiency_axes ~formats:p.Eval.formats p.Eval.expr in
+      let r = Explore.run ~workers:2 ~axes p in
+      let pre = Eval.prepare p in
+      List.iter
+        (fun (e : Eval.eval) ->
+          match Eval.cycles e with
+          | None -> ()
+          | Some cycles ->
+              let b = Eval.lower_bound pre e.Eval.point in
+              if b > cycles +. 1e-6 then
+                Alcotest.failf "%s %s: bound %g > estimate %g" spec.K.kname
+                  (Point.to_string e.Eval.point) b cycles)
+        r.Explore.evaluated)
+    K.all
 
 let test_seed_first () =
   (* The candidate list starts with the heuristic decision. *)
@@ -559,4 +784,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bound_admissible;
     Alcotest.test_case "lower bound: oracle regression seeds" `Quick
       test_bound_regression_seeds;
+    Alcotest.test_case "lower bound: every feasible kernel point" `Quick
+      test_bound_admissible_kernels;
+    Alcotest.test_case "structure+bind equals direct: kernels" `Quick
+      test_bind_equals_direct_kernels;
+    Alcotest.test_case "structure+bind equals direct: oracle seeds" `Quick
+      test_bind_equals_direct_oracle;
+    Alcotest.test_case "search: one compile per structure" `Quick
+      test_search_compiles_structures_once;
   ]

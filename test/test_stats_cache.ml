@@ -12,6 +12,7 @@ module Sim = Stardust_capstan.Sim
 module D = Stardust_workloads.Datasets
 module Explore = Stardust_explore.Explore
 module Eval = Stardust_explore.Eval
+module Space = Stardust_explore.Space
 module Case = Stardust_oracle.Case
 module Gen = Stardust_oracle.Gen
 
@@ -258,22 +259,30 @@ let pool_determinism () =
     (List.map Eval.cycles r1.Explore.evaluated
     = List.map Eval.cycles r4.Explore.evaluated)
 
-(* The acceptance check of the tentpole: an exhaustive (grid) SDDMM
-   search performs >= 10x fewer raw statistics computations with the
-   cache than without, and returns the same frontier. *)
+(* The acceptance check of the statistics cache: evaluating every point
+   of the SDDMM grid performs >= 10x fewer raw statistics computations
+   with the cache than without, with identical answers.  The points go
+   through per-point uncached evaluation ([Eval.compute]), which compiles
+   every point: a search now compiles each structure once and binds its
+   parallelization factors per point, so it no longer repeats the
+   per-compile statistics work the cache exists to absorb. *)
 let grid_miss_reduction () =
   let p = sddmm_problem () in
+  let pts =
+    Space.points ~formats:p.Eval.formats p.Eval.expr
+      (Space.default_axes ~formats:p.Eval.formats p.Eval.expr)
+  in
+  let grid () = List.map (fun pt -> Eval.cycles (Eval.compute p pt)) pts in
   Stats_cache.set_enabled true;
   Stats_cache.reset ();
-  let r_on = Explore.run ~workers:1 p in
+  let c_on = grid () in
   let on = Stats_cache.counters () in
   Stats_cache.set_enabled false;
   Stats_cache.reset ();
-  let r_off = Explore.run ~workers:1 p in
+  let c_off = grid () in
   let off = Stats_cache.counters () in
   Stats_cache.set_enabled true;
-  checkb "frontier unchanged by caching" true
-    (frontier_sig r_on = frontier_sig r_off);
+  checkb "answers unchanged by caching" true (c_on = c_off);
   checkb
     (Printf.sprintf "raw computations reduced >= 10x (%d -> %d)"
        off.Stats_cache.misses on.Stats_cache.misses)

@@ -81,7 +81,7 @@ let gather_staging () =
       let spec = Option.get (K.find name) in
       let inst = List.hd (instances spec) in
       let st = List.hd spec.K.stages in
-      let inputs = stage_inputs st inst.inputs in
+      let inputs = Pipeline.stage_inputs st inst.inputs in
       let staged = K.compile_stage spec st ~inputs in
       (* a 16-word budget forces every gathered array off-chip *)
       let direct = K.compile_stage ~sram_budget:16 spec st ~inputs in
@@ -95,7 +95,7 @@ let scheduling () =
   let spec = K.spmv in
   let inst = List.hd (instances spec) in
   let st = List.hd spec.K.stages in
-  let inputs = stage_inputs st inst.inputs in
+  let inputs = Pipeline.stage_inputs st inst.inputs in
   let scheduled = K.compile_stage spec st ~inputs in
   let unscheduled =
     (* the canonical loop nest with only parallelization factors set *)

@@ -45,7 +45,7 @@ let () =
   | Some spec ->
       let inst = List.hd (Suite.instances spec) in
       let st = List.hd spec.K.stages in
-      let inputs = Suite.stage_inputs st inst.Suite.inputs in
+      let inputs = Stardust_core.Pipeline.stage_inputs st inst.Suite.inputs in
       let compiled = K.compile_stage spec st ~inputs in
       Fmt.pr "=== %s on %s: loop/transfer structure ===@." spec.K.kname
         inst.Suite.dname;

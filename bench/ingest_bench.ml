@@ -1,6 +1,6 @@
-(** Ingestion throughput benchmark: how fast does the streaming Matrix
-    Market reader move real-dataset bytes, and what does the out-of-core
-    tiling planner decide for a matrix that outgrows a chip?
+(** Ingestion benchmark: what does the streaming Matrix Market reader
+    ingest, and what does the out-of-core tiling planner decide for a
+    matrix that outgrows a chip?
 
     Each dataset is generated deterministically (a fixed odd stride
     walking a power-of-two cell grid visits every cell exactly once, so
@@ -9,8 +9,8 @@
     explicit byte budget, compiled into spmv, and handed to
     {!Stardust_ingest.Tile.plan} against a deliberately small chip.  The
     entry/byte/tile counts and the tile-0 cycle estimate are
-    deterministic and diffed by CI's ingest-smoke job; the wall-clock
-    fields are not. *)
+    deterministic and diffed by CI's ingest-smoke job.  Reader speed is
+    perfbench's [ingest] workload. *)
 
 module Compile = Stardust_core.Compile
 module Sim = Stardust_capstan.Sim
@@ -67,13 +67,7 @@ type row = {
   bytes : int;  (** file bytes consumed (deterministic) *)
   tiles : int;  (** coordinate tiles planned on [small_arch] (deterministic) *)
   tile0_cycles : float;  (** analytic cycles of the first tile (deterministic) *)
-  ingest_seconds : float;
 }
-
-let mb_per_sec r =
-  if r.ingest_seconds > 0.0 then
-    float_of_int r.bytes /. (1024.0 *. 1024.0) /. r.ingest_seconds
-  else infinity
 
 let measure () =
   List.map
@@ -84,9 +78,7 @@ let measure () =
       @@ fun () ->
       write_mtx path ~nnz;
       let bytes = (Unix.stat path).Unix.st_size in
-      let t0 = Unix.gettimeofday () in
       let a = Ingest.read_file ~name:"A" ~budget ~format:(F.csr ()) path in
-      let ingest_seconds = Unix.gettimeofday () -. t0 in
       let formats = [ ("y", F.dv ()); ("A", F.csr ()); ("x", F.dv ()) ] in
       let expr = "y(i) = A(i,j) * x(j)" in
       let inputs =
@@ -111,44 +103,16 @@ let measure () =
             bytes;
             tiles = List.length ranges;
             tile0_cycles = r0.Sim.cycles;
-            ingest_seconds;
           })
     datasets
 
-(** JSON fragment for the suite document: one object per dataset.
-    [target_nnz]/[entries]/[bytes]/[tiles]/[tile0_cycles] are the
-    deterministic fields; the wall-clock fields are ignored by
-    perf-diff. *)
+(** JSON fragment for the suite document: one object per dataset. *)
 let rows_json rs =
-  let num = Stardust_json.Json.number_to_string in
   String.concat ","
     (List.map
        (fun r ->
          Printf.sprintf
-           "{\"dataset\":\"%s\",\"target_nnz\":%d,\"entries\":%d,\"bytes\":%d,\"tiles\":%d,\"tile0_cycles\":%s,\"wall_ingest_seconds\":%s,\"wall_mb_per_sec\":%s}"
+           "{\"dataset\":\"%s\",\"target_nnz\":%d,\"entries\":%d,\"bytes\":%d,\"tiles\":%d,\"tile0_cycles\":%s}"
            r.dataset r.target_nnz r.entries r.bytes r.tiles
-           (num r.tile0_cycles) (num r.ingest_seconds) (num (mb_per_sec r)))
+           (Stardust_json.Json.number_to_string r.tile0_cycles))
        rs)
-
-(** Standalone [bench ingest-throughput]: human-readable table. *)
-let run () =
-  let rs = measure () in
-  Fmt.pr "@.== Ingestion throughput (streaming .mtx reader, %dx%d grid) ==@."
-    rows cols;
-  Fmt.pr "%-10s %10s %10s %10s %8s %6s %14s@." "dataset" "entries" "MB"
-    "MB/s" "Mnnz/s" "tiles" "tile0 cycles";
-  List.iter
-    (fun r ->
-      let mb = float_of_int r.bytes /. (1024.0 *. 1024.0) in
-      Fmt.pr "%-10s %10d %10.1f %10.1f %8.2f %6d %14.0f@." r.dataset r.entries
-        mb (mb_per_sec r)
-        (if r.ingest_seconds > 0.0 then
-           float_of_int r.entries /. 1.0e6 /. r.ingest_seconds
-         else infinity)
-        r.tiles r.tile0_cycles)
-    rs;
-  Fmt.pr
-    "tiles planned for a %d-PMU chip (%d words of SRAM); cycles from the \
-     HBM2E analytic model@."
-    small_arch.Arch.num_pmu
-    (Tile.budget_words small_arch)

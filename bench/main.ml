@@ -23,19 +23,10 @@ let artifacts =
     ("longtail", ("Long-tail kernels beyond the paper's suite", Tables.longtail));
     ("ablations", ("Ablations: sparse lanes, bit-vector stream, gather staging, scheduling", Ablations.run));
     ("autotune", ("Design-space exploration: best point per kernel, pool scaling", Autotune.run));
-    ( "estimate-throughput",
-      ( "Oracle throughput: compile+estimate points/sec, stats cache on/off",
-        Throughput.run ) );
     ( "search-efficiency",
       ( "Budgeted autotune strategies vs exhaustive: frontier exactness \
          and evaluation counts",
         Search_efficiency.run ) );
-    ( "serve-throughput",
-      ( "Compile service: requests/sec and p50/p99 latency at 1-16 clients",
-        Serve_bench.run ) );
-    ( "ingest-throughput",
-      ( "Dataset ingestion: streaming-reader MB/s and out-of-core tile plans",
-        Ingest_bench.run ) );
     ( "serve-soak",
       ( "Compile service: chaos soak over a live socket (informational)",
         Serve_bench.soak ) );

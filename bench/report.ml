@@ -114,15 +114,15 @@ let suite_json ~kernels ?(sections = all_sections) ~path () =
     add ("\"kernels\":[" ^ String.concat "," entries ^ "]")
   end;
   if want "throughput" then begin
-    Fmt.epr "bench: estimate-throughput...@.";
+    Fmt.epr "bench: throughput...@.";
     add ("\"throughput\":[" ^ Throughput.rows_json (Throughput.measure ()) ^ "]")
   end;
   if want "serve" then begin
-    Fmt.epr "bench: serve-throughput...@.";
+    Fmt.epr "bench: serve...@.";
     add ("\"serve\":[" ^ Serve_bench.rows_json (Serve_bench.measure ()) ^ "]")
   end;
   if want "ingest" then begin
-    Fmt.epr "bench: ingest-throughput...@.";
+    Fmt.epr "bench: ingest...@.";
     add ("\"ingest\":[" ^ Ingest_bench.rows_json (Ingest_bench.measure ()) ^ "]")
   end;
   if want "search-efficiency" then begin

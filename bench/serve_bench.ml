@@ -1,17 +1,16 @@
-(** Serve-throughput benchmark: requests/sec and latency percentiles of
-    the compile service under concurrent clients.
+(** Serve benchmark: the compile service's plan-cache counts under
+    concurrent clients.
 
     Each level spins up a fresh in-process {!Stardust_serve.Service}
     and [clients] caller domains; every client issues the same fixed
     request script (compile/estimate/stats over two kernels at two
-    scales) and records per-request wall-clock.  The script cycles
-    through [distinct] unique requests, so with the plan cache's
-    single-flight fills the level's hit/miss counters are a pure
-    function of the request multiset: [misses = distinct],
-    [hits = requests - distinct], no matter how the clients interleave.
-    Those counts (plus [clients] and [requests]) are the deterministic
-    fields CI's perf-diff pins; rps/p50/p99 are wall-clock truth and
-    are reported but never compared. *)
+    scales).  The script cycles through [distinct] unique requests, so
+    with the plan cache's single-flight fills the level's hit/miss
+    counters are a pure function of the request multiset:
+    [misses = distinct], [hits = requests - distinct], no matter how the
+    clients interleave.  Those counts (plus [clients] and [requests]) are
+    the deterministic fields CI's perf-diff pins.  Latency and
+    throughput are perfbench's [serve] workload. *)
 
 module Json = Stardust_json.Json
 module Service = Stardust_serve.Service
@@ -51,15 +50,7 @@ type level = {
   requests : int;  (** total across all clients (deterministic) *)
   plan_hits : int;  (** deterministic: requests - distinct *)
   plan_misses : int;  (** deterministic: distinct *)
-  wall_seconds : float;
-  rps : float;
-  p50 : float;
-  p99 : float;
 }
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0 else sorted.(min (n - 1) (q * n / 100))
 
 let run_level clients =
   (* concurrency comes from the caller domains; the service's own pool
@@ -69,72 +60,39 @@ let run_level clients =
     ~finally:(fun () -> Service.shutdown svc)
     (fun () ->
       let client _k =
-        let lats = ref [] in
         for _ = 1 to rounds do
           List.iter
             (fun req ->
-              let t0 = Unix.gettimeofday () in
               let resp = Service.handle_request svc req in
-              let dt = Unix.gettimeofday () -. t0 in
-              (match Json.member "ok" resp with
+              match Json.member "ok" resp with
               | Some (Json.Bool true) -> ()
               | _ ->
                   Fmt.failwith "serve bench: request failed: %s"
-                    (Json.to_string resp));
-              lats := dt :: !lats)
+                    (Json.to_string resp))
             script
-        done;
-        Array.of_list !lats
+        done
       in
-      let t0 = Unix.gettimeofday () in
-      let per_client =
-        Pool.map ~workers:clients client (Array.init clients Fun.id)
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      let lats = Array.concat (Array.to_list per_client) in
-      Array.sort compare lats;
+      ignore (Pool.map ~workers:clients client (Array.init clients Fun.id));
       let c = Plan_cache.counters (Service.plan_cache svc) in
-      let requests = Array.length lats in
       {
         clients;
-        requests;
+        requests = clients * rounds * distinct;
         plan_hits = c.Plan_cache.hits;
         plan_misses = c.Plan_cache.misses;
-        wall_seconds = wall;
-        rps = (if wall > 0.0 then float_of_int requests /. wall else 0.0);
-        p50 = percentile lats 50;
-        p99 = percentile lats 99;
       })
 
 let measure () = List.map run_level levels
 
 (** JSON fragment for the suite document: one object per concurrency
-    level.  [clients]/[requests]/[plan_cache_hits]/[plan_cache_misses]
-    are the deterministic fields; the latency fields are wall-clock. *)
+    level. *)
 let rows_json rows =
-  let num = Json.number_to_string in
   String.concat ","
     (List.map
        (fun r ->
          Printf.sprintf
-           "{\"clients\":%d,\"requests\":%d,\"plan_cache_hits\":%d,\"plan_cache_misses\":%d,\"wall_seconds\":%s,\"rps\":%s,\"p50_seconds\":%s,\"p99_seconds\":%s}"
-           r.clients r.requests r.plan_hits r.plan_misses
-           (num r.wall_seconds) (num r.rps) (num r.p50) (num r.p99))
+           "{\"clients\":%d,\"requests\":%d,\"plan_cache_hits\":%d,\"plan_cache_misses\":%d}"
+           r.clients r.requests r.plan_hits r.plan_misses)
        rows)
-
-(** Standalone [bench serve-throughput]: human-readable table. *)
-let run () =
-  let rows = measure () in
-  Fmt.pr "@.== Serve throughput (%d distinct plans, %d requests/client) ==@."
-    distinct
-    (rounds * distinct);
-  Fmt.pr "%-8s %10s %12s %12s %12s %8s@." "clients" "requests" "req/s"
-    "p50 (us)" "p99 (us)" "hits";
-  List.iter
-    (fun r ->
-      Fmt.pr "%-8d %10d %12.1f %12.1f %12.1f %7d@." r.clients r.requests
-        r.rps (r.p50 *. 1e6) (r.p99 *. 1e6) r.plan_hits)
-    rows
 
 (* ------------------------------------------------------------------ *)
 (* Soak: the chaos harness as an informational benchmark               *)
@@ -144,7 +102,7 @@ let run () =
     and storm it with the chaos harness — well-formed clients concurrent
     with garbage/half-line/oversized/slow-loris/disconnect adversaries.
     Informational only (wall-clock and retry counts depend on the
-    machine); the pinned serve numbers stay with [serve-throughput]. *)
+    machine); the pinned serve numbers are the suite's [serve] section. *)
 let soak () =
   let module Server = Stardust_serve.Server in
   let module Chaos = Stardust_serve.Chaos in

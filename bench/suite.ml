@@ -13,6 +13,7 @@ module F = Stardust_tensor.Format
 module K = Stardust_core.Kernels
 module C = Stardust_core.Compile
 module Plan = Stardust_core.Plan
+module Pipeline = Stardust_core.Pipeline
 module Sim = Stardust_capstan.Sim
 module Arch = Stardust_capstan.Arch
 module Dram = Stardust_capstan.Dram
@@ -179,15 +180,6 @@ let sparse_add ~name ~format a b =
   T.iter_nonzeros (fun c v -> Coo.add coo c v) b;
   T.of_coo ~name ~format coo
 
-(** Inputs for a given stage, given the instance pool (stage results are
-    computed directly for composition). *)
-let stage_inputs (st : K.stage) pool =
-  List.filter_map
-    (fun (n, _) ->
-      if n = st.K.result then None
-      else Option.map (fun t -> (n, T.rename n t)) (List.assoc_opt n pool))
-    st.K.formats
-
 (* -------------------------------------------------------------------- *)
 (* Platforms                                                             *)
 (* -------------------------------------------------------------------- *)
@@ -250,30 +242,25 @@ type run = {
 }
 
 let run_instance (spec : K.spec) (inst : instance) : run =
-  let pool = ref inst.inputs in
   let compiled_stages =
-    List.map
-      (fun (st : K.stage) ->
-        let inputs = stage_inputs st !pool in
+    Pipeline.run spec ~inputs:inst.inputs (fun st ~inputs ->
         let compiled = K.compile_stage spec st ~inputs in
         let baseline = default_profile st ~inputs in
-        (* Materialise the stage result for downstream stages. *)
-        (if List.length spec.K.stages > 1 then
-           match st.K.expr with
-           | _ ->
-               let parsed = Stardust_ir.Parser.parse_assign st.K.expr in
-               let rhs_tensors = Stardust_ir.Ast.tensors_of_expr parsed.Stardust_ir.Ast.rhs in
-               (match rhs_tensors with
-               | [ a; b ] when List.mem_assoc a inputs && List.mem_assoc b inputs
-                 ->
-                   let t =
-                     sparse_add ~name:st.K.result ~format:st.K.result_format
-                       (List.assoc a inputs) (List.assoc b inputs)
-                   in
-                   pool := (st.K.result, t) :: !pool
-               | _ -> ()));
-        (compiled, baseline))
-      spec.K.stages
+        (* Materialise a multi-stage kernel's intermediate (Plus3's
+           [T = B + C]) for the stages after it. *)
+        let outputs =
+          if List.length spec.K.stages = 1 then []
+          else
+            let parsed = Stardust_ir.Parser.parse_assign st.K.expr in
+            match Stardust_ir.Ast.tensors_of_expr parsed.Stardust_ir.Ast.rhs with
+            | [ a; b ] when List.mem_assoc a inputs && List.mem_assoc b inputs
+              ->
+                [ ( st.K.result,
+                    sparse_add ~name:st.K.result ~format:st.K.result_format
+                      (List.assoc a inputs) (List.assoc b inputs) ) ]
+            | _ -> []
+        in
+        ((compiled, baseline), outputs))
   in
   let seconds =
     List.map

@@ -17,6 +17,7 @@ module Cin = Stardust_ir.Cin
 module S = Stardust_schedule.Schedule
 module C = Stardust_core.Compile
 module K = Stardust_core.Kernels
+module Pipeline = Stardust_core.Pipeline
 module Sim = Stardust_capstan.Sim
 module Arch = Stardust_capstan.Arch
 module Dram = Stardust_capstan.Dram
@@ -78,6 +79,11 @@ module Ingest = Stardust_ingest.Ingest
 module Ingest_fuzz = Stardust_ingest.Ingest_fuzz
 
 let stage_random_inputs = W.stage_random_inputs
+
+(* Every stage's random inputs: they are seeded by tensor name, so each
+   stage sees the tensors it would get on its own. *)
+let kernel_random_inputs (spec : K.spec) n =
+  List.concat_map (fun st -> stage_random_inputs st n) spec.K.stages
 
 (* Real-dataset ingestion flags, shared by every command that accepts -d
    specs: "NAME=@PATH" file specs resolve inside the --data-root sandbox
@@ -183,28 +189,15 @@ let kernel_cmd =
         Fmt.epr "unknown kernel %s (try: stardustc list)@." name;
         exit 1
     | Some spec ->
-        let n = scale in
-        let inputs_for (st : K.stage) = stage_random_inputs st n in
-        let pool = ref [] in
-        List.iter
-          (fun (st : K.stage) ->
-            let inputs =
-              List.map
-                (fun (tname, t) ->
-                  match List.assoc_opt tname !pool with
-                  | Some prev -> (tname, T.rename tname prev)
-                  | None -> (tname, t))
-                (inputs_for st)
-            in
-            Fmt.pr "--- stage: %s ---@." st.K.expr;
-            let compiled = K.compile_stage spec st ~inputs in
-            report_compiled ~dot ~cin ~code ~resources:res ~simulate:sim
-              ~estimate:est ~cpu compiled;
-            if sim then begin
-              let results, _ = Sim.execute compiled in
-              pool := results @ !pool
-            end)
-          spec.K.stages
+        ignore
+          (Pipeline.run spec ~inputs:(kernel_random_inputs spec scale)
+             (fun st ~inputs ->
+               Fmt.pr "--- stage: %s ---@." st.K.expr;
+               let compiled = K.compile_stage spec st ~inputs in
+               report_compiled ~dot ~cin ~code ~resources:res ~simulate:sim
+                 ~estimate:est ~cpu compiled;
+               ((), if sim then fst (Sim.execute compiled) else []))
+            : unit list)
   in
   Cmd.v
     (Cmd.info "kernel"
@@ -336,7 +329,6 @@ let run_cmd =
       else List.iter (fun d -> Fmt.epr "%a@." Diag.pp d) !emitted;
       exit code
     in
-    let pool = ref [] in
     let run_stage label (cres : (C.compiled, Diag.t list) result) =
       match cres with
       | Error ds ->
@@ -359,7 +351,7 @@ let run_cmd =
                 (fun (rname, t) ->
                   Fmt.pf hum_ppf "  %s: %d nnz@." rname (T.nnz t))
                 o.Fallback.results;
-              pool := o.Fallback.results @ !pool)
+              o.Fallback.results)
     in
     (match (kname, expr) with
     | Some name, None -> (
@@ -368,18 +360,13 @@ let run_cmd =
             Fmt.epr "unknown kernel %s (try: stardustc list)@." name;
             exit 1
         | Some spec ->
-            List.iter
-              (fun (st : K.stage) ->
-                let inputs =
-                  List.map
-                    (fun (tname, t) ->
-                      match List.assoc_opt tname !pool with
-                      | Some prev -> (tname, T.rename tname prev)
-                      | None -> (tname, t))
-                    (stage_random_inputs st scale)
-                in
-                run_stage st.K.expr (K.compile_stage_result spec st ~inputs))
-              spec.K.stages)
+            ignore
+              (Pipeline.run spec ~inputs:(kernel_random_inputs spec scale)
+                 (fun st ~inputs ->
+                   ( (),
+                     run_stage st.K.expr
+                       (K.compile_stage_result spec st ~inputs) ))
+                : unit list))
     | None, Some e ->
         let formats =
           List.map W.parse_format_binding formats
@@ -396,7 +383,7 @@ let run_cmd =
               emit ds;
               finish 1
         in
-        run_stage e (C.compile_string_result ~formats ~inputs e)
+        ignore (run_stage e (C.compile_string_result ~formats ~inputs e))
     | _ ->
         Fmt.epr "run: give a KERNEL name or -e EXPR (not both)@.";
         exit 1);
@@ -587,24 +574,13 @@ let profile_cmd =
               Fmt.epr "unknown kernel %s (try: stardustc list)@." name;
               exit 1
           | Some spec ->
-              let pool = ref [] in
-              List.map
-                (fun (st : K.stage) ->
-                  let inputs =
-                    List.map
-                      (fun (tname, t) ->
-                        match List.assoc_opt tname !pool with
-                        | Some prev -> (tname, T.rename tname prev)
-                        | None -> (tname, t))
-                      (stage_random_inputs st scale)
-                  in
+              Pipeline.run spec ~inputs:(kernel_random_inputs spec scale)
+                (fun st ~inputs ->
                   let compiled = K.compile_stage spec st ~inputs in
-                  if List.length spec.K.stages > 1 then begin
-                    let results, _ = Sim.execute compiled in
-                    pool := results @ !pool
-                  end;
-                  (st.K.expr, compiled))
-                spec.K.stages)
+                  ( (st.K.expr, compiled),
+                    if List.length spec.K.stages > 1 then
+                      fst (Sim.execute compiled)
+                    else [] )))
       | None, Some e ->
           let formats =
             List.map W.parse_format_binding formats

@@ -1,173 +1,41 @@
 (** Host orchestration of multi-stage kernels.
 
-    A Stardust program may span several accelerator invocations — Plus3 is
-    mapped as two two-input additions (section 8.1), and applications chain
-    kernels (each PageRank step is an SpMV; each ALS sweep is several
-    MTTKRPs).  This module runs a kernel's stages in order, materialising
-    each stage's result (the host round-trip the paper's off-chip formats
-    denote) and accumulating the per-stage reports.
-
-    {!run_result} is the structured-error surface: every stage failure —
-    compile or execute — is reported as stage-tagged diagnostics carrying
-    the stage index and expression, and a retry policy re-attempts flaky
-    [execute] calls (the simulator's fault-injection hook produces exactly
-    such transients) before giving up.  {!run} is the raising shim. *)
+    Plus3 is mapped as two two-input additions (section 8.1): the host
+    runs [T = B + C], materialises [T] (the round-trip the paper's
+    off-chip formats denote) and feeds it to [A = T + D].  This module is
+    the one place that decides how a stage's outputs reach later stages;
+    compiling, executing and reporting a stage stay with the caller, and
+    so do spans, metrics and error paths. *)
 
 module Tensor = Stardust_tensor.Tensor
-module Diag = Stardust_diag.Diag
-module Trace = Stardust_obs.Trace
-module Metrics = Stardust_obs.Metrics
 
-type stage_result = {
-  stage_expr : string;
-  compiled : Compile.compiled;
-  outputs : (string * Tensor.t) list;
-  retries_used : int;  (** times [execute] was retried for this stage *)
-}
+(** The inputs of stage [st] drawn from [pool]: one per tensor of
+    [st.formats] other than its result and [_]-temporaries — the first
+    binding of that name in [pool], renamed to it.  A name [pool] does
+    not bind is left out, so compiling the stage reports it. *)
+let stage_inputs (st : Kernels.stage) pool =
+  List.filter_map
+    (fun (n, _) ->
+      if n = st.Kernels.result || (String.length n > 0 && n.[0] = '_') then
+        None
+      else Option.map (fun t -> (n, Tensor.rename n t)) (List.assoc_opt n pool))
+    st.Kernels.formats
 
-type t = {
-  stages : stage_result list;
-  results : (string * Tensor.t) list;  (** final tensor pool *)
-  warnings : Diag.t list;  (** retry notices and other non-fatal events *)
-}
-
-exception Pipeline_error of string
-
-(** Context every stage diagnostic carries. *)
-let stage_ctx ~index (st : Kernels.stage) extra =
-  ("stage", string_of_int index)
-  :: ("expr", st.Kernels.expr)
-  :: extra
-
-(** [run_result spec ~inputs ~execute] compiles and executes every stage
-    of [spec], feeding each stage's outputs into later stages' inputs.
-    [execute] maps a compiled stage to its result tensors — pass
-    [Stardust_capstan.Sim] execution from the application (this library
-    does not depend on the simulator).
-
-    [retries] (default 0) is the per-stage retry budget for [execute]:
-    when it raises, the stage is re-executed up to [retries] more times
-    before the failure becomes a diagnostic; each retry emits a warning
-    diagnostic.  Compilation failures are never retried (they are
-    deterministic). *)
-let run_result ?(retries = 0) (spec : Kernels.spec)
-    ~(inputs : (string * Tensor.t) list)
-    ~(execute : Compile.compiled -> (string * Tensor.t) list) :
-    (t, Diag.t list) result =
-  let warnings = ref [] in
-  let pool = ref inputs in
-  let exception Stage_failed of Diag.t list in
-  try
-    let stages =
-      List.mapi
-        (fun index (st : Kernels.stage) ->
-         Trace.with_span
-           ~cat:(Diag.stage_name Diag.Driver)
-           ~args:
-             [ ("stage", string_of_int index); ("expr", st.Kernels.expr) ]
-           (Fmt.str "stage %d: %s" index st.Kernels.expr)
-           (fun () ->
-          Metrics.inc
-            (Metrics.counter ~help:"pipeline stages entered"
-               "pipeline_stages_total");
-          let fail ds = raise (Stage_failed ds) in
-          let stage_inputs =
-            List.filter_map
-              (fun (n, _) ->
-                if n = st.Kernels.result then None
-                else
-                  match List.assoc_opt n !pool with
-                  | Some t -> Some (n, Tensor.rename n t)
-                  | None ->
-                      if String.length n > 0 && n.[0] = '_' then None
-                      else
-                        fail
-                          [
-                            Diag.error ~stage:Diag.Driver
-                              ~code:Diag.code_pipeline_stage
-                              ~context:(stage_ctx ~index st [])
-                              "stage %d (%s): missing input tensor %s" index
-                              st.Kernels.expr n;
-                          ])
-              st.Kernels.formats
-          in
-          let compiled =
-            match
-              Kernels.compile_stage_result spec st ~inputs:stage_inputs
-            with
-            | Ok c -> c
-            | Error ds ->
-                fail
-                  (List.map
-                     (fun (d : Diag.t) ->
-                       { d with Diag.context = stage_ctx ~index st d.Diag.context })
-                     ds)
-          in
-          (* Execute with the retry policy: transient faults (e.g. the
-             simulator's injected DRAM storms) get [retries] more
-             attempts. *)
-          let rec attempt k =
-            match execute compiled with
-            | outputs -> (outputs, k)
-            | exception e ->
-                if k < retries then begin
-                  Metrics.inc
-                    (Metrics.counter ~help:"pipeline stage execution retries"
-                       "pipeline_retries_total");
-                  warnings :=
-                    Diag.warning ~stage:Diag.Driver ~code:Diag.code_retry
-                      ~context:
-                        (stage_ctx ~index st
-                           [ ("exception", Printexc.to_string e) ])
-                      "stage %d (%s): execution attempt %d failed; retrying"
-                      index st.Kernels.expr (k + 1)
-                    :: !warnings;
-                  attempt (k + 1)
-                end
-                else
-                  fail
-                    [
-                      Diag.error ~stage:Diag.Driver
-                        ~code:Diag.code_pipeline_stage
-                        ~context:
-                          (stage_ctx ~index st
-                             [ ("exception", Printexc.to_string e);
-                               ("attempts", string_of_int (k + 1)) ])
-                        "stage %d (%s): execution failed" index
-                        st.Kernels.expr;
-                    ]
-          in
-          let outputs, retries_used = attempt 0 in
-          List.iter
-            (fun (n, t) -> pool := (n, t) :: List.remove_assoc n !pool)
-            outputs;
-          { stage_expr = st.Kernels.expr; compiled; outputs; retries_used }))
-        spec.Kernels.stages
-    in
-    Ok { stages; results = !pool; warnings = List.rev !warnings }
-  with Stage_failed ds -> Error (List.rev_append !warnings ds)
-
-(** Raising shim over {!run_result}.
-    @raise Pipeline_error on the first stage failure. *)
-let run ?retries (spec : Kernels.spec) ~(inputs : (string * Tensor.t) list)
-    ~(execute : Compile.compiled -> (string * Tensor.t) list) : t =
-  match run_result ?retries spec ~inputs ~execute with
-  | Ok t -> t
-  | Error ds ->
-      raise
-        (Pipeline_error
-           (String.concat "; "
-              (List.map Diag.to_string
-                 (List.filter Diag.is_error ds))))
-
-(** The final result tensor of the last stage. *)
-let final t =
-  match List.rev t.stages with
-  | [] -> raise (Pipeline_error "empty pipeline")
-  | last :: _ -> (
-      match last.outputs with
-      | (_, r) :: _ -> r
-      | [] -> raise (Pipeline_error "last stage produced no output"))
-
-(** Sum a per-stage metric (e.g. simulated seconds) over the pipeline. *)
-let total t f = List.fold_left (fun acc s -> acc +. f s.compiled) 0.0 t.stages
+(** [run spec ~inputs f] applies [f] to every stage of [spec] in order and
+    returns its values in stage order.  Stage [st] gets
+    [stage_inputs st pool], where [pool] starts as [inputs]; the outputs
+    [f] returns shadow earlier bindings of their names for later
+    stages. *)
+let run (spec : Kernels.spec) ~(inputs : (string * Tensor.t) list)
+    (f :
+      Kernels.stage ->
+      inputs:(string * Tensor.t) list ->
+      'a * (string * Tensor.t) list) : 'a list =
+  let _, values =
+    List.fold_left
+      (fun (pool, values) st ->
+        let v, outputs = f st ~inputs:(stage_inputs st pool) in
+        (outputs @ pool, v :: values))
+      (inputs, []) spec.Kernels.stages
+  in
+  List.rev values

@@ -73,8 +73,8 @@ type t = {
                            [E0802] a backend crashed on a fuzz case,
                            [E0803] a backend hung on a fuzz case (timed
                            out or tripped the simulator watchdog)
-    - E09xx driver       — [E0901] unexpected exception, [E0902] stage
-                           failed in a pipeline, [E0903] kernel infeasible
+    - E09xx driver       — [E0901] unexpected exception, [E0902]
+                           retired, never reused, [E0903] kernel infeasible
                            on the target chip, [E0904] internal invariant
                            violated (a bug in Stardust itself), [E0905] a
                            worker-pool task exceeded its deadline
@@ -91,7 +91,7 @@ type t = {
                            search strategy
     - W01xx degradation  — [W0101] fell back to a retiled schedule,
                            [W0102] fell back to the CPU baseline,
-                           [W0103] pipeline stage retried,
+                           [W0103] retired, never reused,
                            [W0104] a corrupt plan-cache spill entry was
                            skipped at warm start,
                            [W0105] degraded to out-of-core coordinate
@@ -117,7 +117,6 @@ let code_oracle_mismatch = "E0801"
 let code_oracle_crash = "E0802"
 let code_oracle_hang = "E0803"
 let code_unexpected = "E0901"
-let code_pipeline_stage = "E0902"
 let code_infeasible = "E0903"
 let code_internal = "E0904"
 let code_worker_timeout = "E0905"
@@ -131,7 +130,6 @@ let code_serve_degraded = "E1007"
 let code_serve_strategy = "E1008"
 let code_fallback_retile = "W0101"
 let code_fallback_cpu = "W0102"
-let code_retry = "W0103"
 let code_cache_corrupt = "W0104"
 let code_fallback_tiled = "W0105"
 

@@ -27,7 +27,9 @@
     calls {e reap} (join) the ones whose computations have finished,
     and the live count is capped so the runtime's domain budget can
     never be silently exhausted — see the abandoned-domain accounting
-    below and {!with_deadline}'s [Deadline_unenforceable]. *)
+    below and {!with_deadline}'s [Deadline_unenforceable].  A timed map
+    item is one {!with_deadline} call; a refused one fails with an E0905
+    [Diag.Fail] and never runs. *)
 
 module Diag = Stardust_diag.Diag
 module Trace = Stardust_obs.Trace
@@ -94,7 +96,7 @@ type 'b slot =
 (** Why an item of {!map_result} produced no value. *)
 type failure =
   | Failure_raised of { exn : exn; backtrace : Printexc.raw_backtrace }
-      (** the application raised; [exn] is wrapped in {!Worker_error} *)
+      (** the application raised [exn] *)
   | Failure_timed_out of { seconds : float }
       (** the application blew its deadline and was abandoned *)
 
@@ -106,14 +108,12 @@ let internal_error ~where message =
         "internal invariant violated: %s" message;
     ]
 
-let apply_plain f i x =
+(* The backtrace is captured here, inside the raising domain, where it
+   still exists. *)
+let apply_plain f x =
   match f x with
   | v -> Value v
-  | exception e ->
-      (* capture the trace here, inside the raising domain, where it still
-         exists *)
-      let bt = Printexc.get_raw_backtrace () in
-      Raised (Worker_error { index = i; exn = e }, bt)
+  | exception e -> Raised (e, Printexc.get_raw_backtrace ())
 
 (* ------------------------------------------------------------------ *)
 (* Abandoned-domain accounting                                         *)
@@ -177,45 +177,6 @@ let count_deadline_fallback () =
   count ~volatile:true "pool_deadline_fallbacks_total"
     "deadline-bearing calls that ran inline because no sub-domain could \
      be spawned"
-
-(** Run one application in a dedicated sub-domain and poll for completion
-    against a wall-clock deadline.  On timeout the sub-domain is abandoned
-    (registered for later reaping; see the accounting above): its eventual
-    result, if any, is discarded.  If no domain can be spawned, the
-    application degrades to running inline without a deadline — forward
-    progress over isolation, counted in [pool_deadline_fallbacks_total]. *)
-let apply_timed ~seconds f i x =
-  ignore (reap_abandoned () : int);
-  let cell = Atomic.make None in
-  (* DLS does not cross Domain.spawn: re-install the caller's tracing
-     context so spans inside the timed application stay correlated. *)
-  let ctx = Trace.current_context () in
-  match
-    Domain.spawn (fun () ->
-        Trace.set_context ctx;
-        Atomic.set cell (Some (apply_plain f i x)))
-  with
-  | exception _ ->
-      count_deadline_fallback ();
-      apply_plain f i x
-  | d ->
-      let deadline = Unix.gettimeofday () +. seconds in
-      let rec wait () =
-        match Atomic.get cell with
-        | Some r ->
-            Domain.join d;
-            r
-        | None ->
-            if Unix.gettimeofday () >= deadline then begin
-              abandon d ~is_done:(fun () -> Atomic.get cell <> None);
-              Timed_out seconds
-            end
-            else begin
-              Unix.sleepf 0.001;
-              wait ()
-            end
-      in
-      wait ()
 
 (* ------------------------------------------------------------------ *)
 (* Persistent pool handles                                             *)
@@ -483,10 +444,22 @@ let run_slots ?timeout ?workers ?pool (f : 'a -> 'b) (items : 'a array) :
     | None, None -> default_workers ()
   in
   let n = Array.length items in
-  let apply i x =
+  let apply x =
     match timeout with
-    | None -> apply_plain f i x
-    | Some seconds -> apply_timed ~seconds f i x
+    | None -> apply_plain f x
+    | Some seconds -> (
+        match with_deadline ~seconds (fun () -> f x) with
+        | Ok v -> Value v
+        | Error (Deadline_expired seconds) -> Timed_out seconds
+        | Error (Deadline_unenforceable { abandoned }) ->
+            let d =
+              Diag.error ~stage:Diag.Driver ~code:Diag.code_worker_timeout
+                ~context:[ ("abandoned_domains", string_of_int abandoned) ]
+                "deadline refused: %d abandoned domains are still running"
+                abandoned
+            in
+            Raised (Diag.Fail [ d ], Printexc.get_callstack 0)
+        | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
   in
   let slots : 'b slot array = Array.make n Unfilled in
   count ~by:(float_of_int n) "pool_tasks_total"
@@ -516,7 +489,7 @@ let run_slots ?timeout ?workers ?pool (f : 'a -> 'b) (items : 'a array) :
           if i < n then begin
             let t0 = Unix.gettimeofday () in
             Metrics.observe (queue_wait_hist ()) (t0 -. submitted);
-            slots.(i) <- apply i items.(i);
+            slots.(i) <- apply items.(i);
             busy := !busy +. (Unix.gettimeofday () -. t0);
             if 1 + Atomic.fetch_and_add completed 1 = n then on_all_done ();
             loop ()
@@ -540,15 +513,6 @@ let run_slots ?timeout ?workers ?pool (f : 'a -> 'b) (items : 'a array) :
            body ~on_all_done:ignore 0;
            List.iter Domain.join spawned
          end);
-  (* Timeout accounting happens here, scanning the filled slot array in
-     input order, not inside the racing workers. *)
-  Array.iter
-    (function
-      | Timed_out _ ->
-          count ~volatile:true "pool_timeouts_total"
-            "pool items abandoned past their deadline"
-      | _ -> ())
-    slots;
   slots
 
 (** [map ~workers f items] is [Array.map f items], computed by [workers]
@@ -565,7 +529,8 @@ let map ?timeout ?workers ?pool (f : 'a -> 'b) (items : 'a array) : 'b array =
   Array.iteri
     (fun i s ->
       match s with
-      | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Raised (exn, bt) ->
+          Printexc.raise_with_backtrace (Worker_error { index = i; exn }) bt
       | Timed_out seconds -> raise (Worker_timeout { index = i; seconds })
       | Value _ | Unfilled -> ())
     slots;

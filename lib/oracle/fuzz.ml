@@ -213,9 +213,6 @@ let run (cfg : config) : stats =
       | Error (Pool.Failure_raised { exn; _ }) ->
           (* harness-level crash (e.g. the generator itself): no outcome to
              minimize, report the exception as-is *)
-          let exn =
-            match exn with Pool.Worker_error { exn; _ } -> exn | e -> e
-          in
           incr crashed;
           diags := !diags @ [ crash_diag seed exn ];
           cfg.log (Fmt.str "harness crashed on seed %d" seed))

@@ -27,6 +27,7 @@
     own connection handlers. *)
 
 module Json = Stardust_json.Json
+module Prng = Stardust_workloads.Prng
 
 type config = {
   socket : string;  (** path of the daemon's Unix socket *)
@@ -65,20 +66,20 @@ let pp_report ppf r =
   List.iter (fun f -> Fmt.pf ppf "@.  FAIL %s" f) r.failures
 
 (* ------------------------------------------------------------------ *)
-(* Seeded PRNG (splitmix64) — private so runs never depend on global
-   [Random] state the rest of the process might touch.                 *)
+(* Seeded schedules: one [Prng] state per client and per adversary, so
+   runs never depend on global [Random] state.                         *)
 (* ------------------------------------------------------------------ *)
 
-let mix (s : int64 ref) : int64 =
-  let open Int64 in
-  let z = add !s 0x9E3779B97F4A7C15L in
-  s := z;
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
+let client_rng ~seed idx = Prng.create ((seed * 1_000_003) + idx)
+let adversary_rng ~seed idx = Prng.create ((seed * 7_368_787) + idx)
 
+(* Its own reduction, not [Prng.int]'s mask: every seeded schedule
+   depends on these exact draws. *)
 let rand_int st bound =
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (mix st) 1) (Int64.of_int bound))
+  Int64.to_int
+    (Int64.rem
+       (Int64.shift_right_logical (Prng.next_int64 st) 1)
+       (Int64.of_int bound))
 
 (* ------------------------------------------------------------------ *)
 (* Shared failure sink                                                 *)
@@ -190,7 +191,7 @@ let rpc_until_answered sink conn socket req ~who ~retries =
   attempt 0
 
 let run_client cfg sink ~answered ~retries idx =
-  let st = ref (Int64.of_int ((cfg.seed * 1_000_003) + idx)) in
+  let st = client_rng ~seed:cfg.seed idx in
   let conn = ref None in
   for i = 0 to cfg.requests_per_client - 1 do
     let id = Json.Num (float_of_int ((idx * 100_000) + i)) in
@@ -335,7 +336,7 @@ let attack_deep_nesting sink socket ~max_line_bytes =
           | None -> fail sink "deep nesting answered ok"))
 
 let run_adversary cfg sink ~attacks ~retries idx =
-  let st = ref (Int64.of_int ((cfg.seed * 7_368_787) + idx)) in
+  let st = adversary_rng ~seed:cfg.seed idx in
   for _ = 1 to cfg.attacks_per_adversary do
     (match rand_int st 6 with
     | 0 -> attack_garbage sink cfg.socket

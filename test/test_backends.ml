@@ -15,6 +15,7 @@ module P = Stardust_ir.Parser
 module S = Stardust_schedule.Schedule
 module C = Stardust_core.Compile
 module K = Stardust_core.Kernels
+module Pipeline = Stardust_core.Pipeline
 module Sim = Stardust_capstan.Sim
 module Ref = Stardust_vonneumann.Reference
 module Interp = Stardust_vonneumann.Cin_interp
@@ -52,16 +53,9 @@ let run_kernel_stage (spec : K.spec) (st : K.stage) ~inputs =
   (expected, interp, simmed, cpu, report, est)
 
 let kernel_test (spec : K.spec) () =
-  let pool = ref (List.assoc spec.K.kname Test_backend_data.small_inputs) in
-  List.iter
-    (fun (st : K.stage) ->
-      let inputs =
-        List.filter_map
-          (fun (n, _) ->
-            if n = st.K.result then None
-            else Option.map (fun t -> (n, t)) (List.assoc_opt n !pool))
-          st.K.formats
-      in
+  let inputs = List.assoc spec.K.kname Test_backend_data.small_inputs in
+  ignore
+  @@ Pipeline.run spec ~inputs (fun st ~inputs ->
       let expected, interp, simmed, cpu, report, est =
         run_kernel_stage spec st ~inputs
       in
@@ -76,8 +70,7 @@ let kernel_test (spec : K.spec) () =
       checkb "estimate bytes close" true
         (rel est.Sim.streamed_bytes report.Sim.streamed_bytes < 0.05);
       checkb "nonzero work tallied" true (report.Sim.iterations > 0.0);
-      pool := (st.K.result, simmed) :: !pool)
-    spec.K.stages
+      ((), [ (st.K.result, simmed) ]))
 
 let kernel_cases =
   List.map

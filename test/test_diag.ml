@@ -14,7 +14,6 @@ module Io = Stardust_tensor.Tensor_io
 module P = Stardust_ir.Parser
 module C = Stardust_core.Compile
 module K = Stardust_core.Kernels
-module Pipeline = Stardust_core.Pipeline
 module Sim = Stardust_capstan.Sim
 module Arch = Stardust_capstan.Arch
 module Fallback = Stardust_driver.Fallback
@@ -98,7 +97,7 @@ let test_collector () =
   let c = Diag.Collector.create () in
   Alcotest.(check bool) "empty" true (Diag.Collector.is_empty c);
   Diag.Collector.add c
-    (Diag.warning ~stage:Diag.Driver ~code:Diag.code_retry "w");
+    (Diag.warning ~stage:Diag.Driver ~code:Diag.code_cache_corrupt "w");
   Diag.Collector.add c (Diag.error ~stage:Diag.Plan ~code:Diag.code_plan "e");
   Diag.Collector.add_all c
     [ Diag.note ~stage:Diag.Driver ~code:Diag.code_fallback_cpu "n" ];
@@ -417,56 +416,6 @@ let test_io_valid_roundtrip_still_works () =
       let t = Io.read_matrix_market ~format:(F.csr ()) path in
       Alcotest.(check int) "nnz" 2 (T.nnz t))
 
-(* ------------------------------------------------------------------ *)
-(* Pipeline retry policy                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_pipeline_retry_recovers () =
-  let inputs = spmv_inputs () in
-  let count = ref 0 in
-  let execute c =
-    incr count;
-    (* the first two attempts hit an injected DRAM fault; the third runs
-       clean — exactly the transient the retry budget exists for *)
-    if !count <= 2 then
-      raise (Sim.Sim_error { kind = Sim.Fault; message = "injected" })
-    else fst (Sim.execute c)
-  in
-  match Pipeline.run_result ~retries:2 K.spmv ~inputs ~execute with
-  | Error ds -> Alcotest.failf "expected recovery: %s" (Diag.list_to_json ds)
-  | Ok t ->
-      Alcotest.(check int) "two retry warnings" 2
-        (List.length t.Pipeline.warnings);
-      List.iter
-        (fun d ->
-          Alcotest.(check string) "retry code" Diag.code_retry d.Diag.code)
-        t.Pipeline.warnings;
-      (match t.Pipeline.stages with
-      | [ s ] ->
-          Alcotest.(check int) "retries recorded" 2 s.Pipeline.retries_used
-      | _ -> Alcotest.fail "expected one stage");
-      Alcotest.(check bool) "result correct after retries" true
-        (close (List.assoc "y" t.Pipeline.results) (spmv_expected inputs))
-
-let test_pipeline_retry_exhausted () =
-  let inputs = spmv_inputs () in
-  let execute _ =
-    raise (Sim.Sim_error { kind = Sim.Fault; message = "always" })
-  in
-  match Pipeline.run_result ~retries:1 K.spmv ~inputs ~execute with
-  | Ok _ -> Alcotest.fail "expected exhaustion"
-  | Error ds ->
-      Alcotest.(check bool) "retry warning kept in the trail" true
-        (List.exists (fun d -> d.Diag.code = Diag.code_retry) ds);
-      let errs = List.filter Diag.is_error ds in
-      Alcotest.(check int) "one error" 1 (List.length errs);
-      let d = List.hd errs in
-      Alcotest.(check string) "stage-failure code" Diag.code_pipeline_stage
-        d.Diag.code;
-      Alcotest.(check bool) "stage context attached" true
-        (List.mem_assoc "stage" d.Diag.context
-        && List.mem_assoc "expr" d.Diag.context)
-
 let suite =
   [
     Alcotest.test_case "pp and json" `Quick test_pp_and_json;
@@ -490,9 +439,5 @@ let suite =
     Alcotest.test_case "io: malformed tns" `Quick test_io_tns_errors;
     Alcotest.test_case "io: valid file still reads" `Quick
       test_io_valid_roundtrip_still_works;
-    Alcotest.test_case "pipeline: retry recovers" `Quick
-      test_pipeline_retry_recovers;
-    Alcotest.test_case "pipeline: retries exhausted" `Quick
-      test_pipeline_retry_exhausted;
     QCheck_alcotest.to_alcotest fuzz_compile_total;
   ]

@@ -251,6 +251,58 @@ let test_pool_abandon_reap () =
     "every finished runaway reaped" true
     (Pool.reap_abandoned () <= baseline)
 
+(* With the abandoned budget spent, a timed map item is refused before
+   it runs (no sub-domain, no inline run without a deadline) and fails
+   with a structured E0905. *)
+let test_pool_timed_map_refused () =
+  let release = Atomic.make false in
+  let parked () =
+    while not (Atomic.get release) do
+      Unix.sleepf 0.001
+    done;
+    0
+  in
+  (* earlier tests may have left runaways of their own *)
+  let baseline = Pool.reap_abandoned () in
+  let park_until_spent () =
+    let rec go n =
+      if n < Pool.abandoned_budget then
+        match Pool.with_deadline ~seconds:0.001 parked with
+        | Error (Pool.Deadline_expired _) -> go (Pool.reap_abandoned ())
+        | Ok _ | Error (Pool.Deadline_unenforceable _) ->
+            Alcotest.fail "a parked runaway must blow its deadline"
+    in
+    go baseline
+  in
+  let ran = Atomic.make 0 in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set release true)
+      (fun () ->
+        park_until_spent ();
+        Pool.map_result ~timeout:30.0 ~workers:1
+          (fun x -> Atomic.incr ran; x)
+          [| 1 |])
+  in
+  Alcotest.(check int) "refused item never ran" 0 (Atomic.get ran);
+  (match results.(0) with
+  | Error (Pool.Failure_raised { exn = Stardust_diag.Diag.Fail [ d ]; _ }) ->
+      Alcotest.(check string) "refusal code" "E0905" d.Stardust_diag.Diag.code;
+      Alcotest.(check bool) "abandoned count in context" true
+        (List.mem_assoc "abandoned_domains" d.Stardust_diag.Diag.context)
+  | _ -> Alcotest.fail "expected a structured E0905 refusal");
+  (* released runaways finish and are reaped, restoring the budget *)
+  let rec drain k =
+    if Pool.reap_abandoned () > baseline && k > 0 then begin
+      Unix.sleepf 0.01;
+      drain (k - 1)
+    end
+  in
+  drain 500;
+  match Pool.map_result ~timeout:30.0 ~workers:1 (fun x -> x + 1) [| 1 |] with
+  | [| Ok 2 |] -> ()
+  | _ -> Alcotest.fail "timed map must run again once runaways are reaped"
+
 let test_pool_cache () =
   let cache : int Pool.Cache.t = Pool.Cache.create () in
   let calls = ref 0 in
@@ -768,6 +820,8 @@ let suite =
       test_pool_with_deadline;
     Alcotest.test_case "pool: abandoned domains are reaped" `Quick
       test_pool_abandon_reap;
+    Alcotest.test_case "pool: timed map refused when budget spent" `Quick
+      test_pool_timed_map_refused;
     Alcotest.test_case "pareto frontier" `Quick test_pareto;
     Alcotest.test_case "search: worker-count determinism" `Quick
       test_determinism;

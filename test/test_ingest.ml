@@ -383,6 +383,22 @@ let test_tile_plan_capacity () =
       in
       Alcotest.(check int) "ranges cover the extent" shard.Tile.extent covered
 
+let test_tile_failure_keeps_code () =
+  (* a fault naming no tensor makes every tile's simulation fail with
+     E0604; that code, not "tile execution died", must reach the caller *)
+  let faults =
+    [ Sim.Corrupt_pos { tensor = "nope"; level = 0; index = 0; value = 0.0 } ]
+  in
+  match Tile.attempt ~config:cramped_config ~faults (spmv_compiled ()) with
+  | Ok _ -> Alcotest.fail "tiles ran although every one was faulted"
+  | Error ds ->
+      Alcotest.(check bool) "some tile failed" true (ds <> []);
+      List.iter
+        (fun (d : Diag.t) ->
+          Alcotest.(check string) "simulator's own code" Diag.code_sim_fault
+            d.Diag.code)
+        ds
+
 let test_tiled_fallback_end_to_end () =
   Metrics.reset ();
   let c = spmv_compiled () in
@@ -454,6 +470,8 @@ let suite =
       test_tile_plan_structural;
     Alcotest.test_case "tile: plan shards on capacity misfits" `Quick
       test_tile_plan_capacity;
+    Alcotest.test_case "tile: a failing tile keeps its own code" `Quick
+      test_tile_failure_keeps_code;
     Alcotest.test_case "tiled fallback matches untiled reference" `Quick
       test_tiled_fallback_end_to_end;
     Alcotest.test_case "retile policy skips the tiled rung" `Quick

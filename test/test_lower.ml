@@ -12,6 +12,7 @@ module Memory = Stardust_core.Memory
 module Plan = Stardust_core.Plan
 module C = Stardust_core.Compile
 module K = Stardust_core.Kernels
+module Pipeline = Stardust_core.Pipeline
 module Codegen = Stardust_spatial.Codegen
 module Ir = Stardust_spatial.Spatial_ir
 module D = Stardust_workloads.Datasets
@@ -314,26 +315,18 @@ let test_all_kernels_compile_and_validate () =
   let small = Test_backend_data.small_inputs in
   List.iter
     (fun (spec : K.spec) ->
-      let pool = ref (List.assoc spec.K.kname small) in
-      List.iter
-        (fun (st : K.stage) ->
-          let inputs =
-            List.filter_map
-              (fun (n, _) ->
-                if n = st.K.result then None
-                else Option.map (fun t -> (n, t)) (List.assoc_opt n !pool))
-              st.K.formats
-          in
-          let c = K.compile_stage spec st ~inputs in
-          checkb (spec.K.kname ^ " valid") true (Ir.is_valid c.C.program);
-          (* feed a correct intermediate forward *)
-          let assign = P.parse_assign st.K.expr in
-          let expected =
-            Stardust_vonneumann.Reference.eval assign ~inputs
-              ~result_format:st.K.result_format
-          in
-          pool := (st.K.result, expected) :: !pool)
-        spec.K.stages)
+      ignore
+      @@ Pipeline.run spec ~inputs:(List.assoc spec.K.kname small)
+           (fun st ~inputs ->
+             let c = K.compile_stage spec st ~inputs in
+             checkb (spec.K.kname ^ " valid") true (Ir.is_valid c.C.program);
+             (* feed a correct intermediate forward *)
+             let assign = P.parse_assign st.K.expr in
+             let expected =
+               Stardust_vonneumann.Reference.eval assign ~inputs
+                 ~result_format:st.K.result_format
+             in
+             ((), [ (st.K.result, expected) ])))
     K.all
 
 let suite =

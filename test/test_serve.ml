@@ -668,6 +668,48 @@ let test_chaos_storm () =
             report.Chaos.wellformed_sent report.Chaos.wellformed_answered;
           checki "every attack ran" 10 report.Chaos.attacks_run))
 
+(* The seeded schedules: the first 64 draws of one client and one
+   adversary state at seed 42, pinned so a change to the PRNG or to
+   [rand_int]'s reduction cannot silently reshuffle every chaos run. *)
+let test_chaos_schedule_pinned () =
+  let draws st = List.init 64 (fun _ -> Chaos.rand_int st 1_000_000_007) in
+  Alcotest.(check (list int))
+    "client 3 draws"
+    [
+      163330235; 481674673; 374570720; 244187456; 234579107;
+      573182691; 390886713; 762347244; 45101189; 436161103;
+      235706267; 351872156; 975092196; 842607990; 5765212;
+      115963436; 186131093; 912286514; 444423507; 666190202;
+      700321230; 538371693; 144332844; 445205962; 305164398;
+      659477894; 367644962; 429922609; 559550224; 576801169;
+      475652267; 736260507; 438789271; 999427018; 401201115;
+      664790077; 115334997; 309582470; 753695712; 569595771;
+      957142980; 766023577; 435154512; 626080010; 14773912;
+      576780914; 86448926; 376605704; 126369303; 882713153;
+      366801881; 998866582; 384922915; 918634197; 48402351;
+      673223052; 860341667; 166736132; 192244302; 833385251;
+      279499651; 923231282; 350632539; 955115523;
+    ]
+    (draws (Chaos.client_rng ~seed:42 3));
+  Alcotest.(check (list int))
+    "adversary 1 draws"
+    [
+      422754367; 996948430; 573774281; 551859143; 30157115;
+      122429197; 135643718; 494684399; 126824128; 68518767;
+      638908930; 319690044; 138549245; 518564828; 282296316;
+      409414835; 247918397; 614677075; 593539455; 271879701;
+      564761611; 867298042; 177787725; 484581373; 496498596;
+      887750429; 743283894; 623482531; 584774749; 188428657;
+      344383305; 95548098; 398522248; 984574244; 143539186;
+      305435255; 531201680; 985335642; 889967757; 209099037;
+      286993806; 649889522; 98639871; 556922837; 190298504;
+      241670708; 178870116; 73684144; 476489848; 123652325;
+      563533032; 231087057; 134166450; 370632419; 831375464;
+      685093476; 332939068; 561348994; 732765827; 452934282;
+      74502418; 326520633; 597275215; 713193159;
+    ]
+    (draws (Chaos.adversary_rng ~seed:42 1))
+
 (* ------------------------------------------------------------------ *)
 (* Request correlation                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1242,6 +1284,8 @@ let suite =
       `Quick test_persistence_corrupt;
     Alcotest.test_case "chaos: in-process storm, zero failures" `Quick
       test_chaos_storm;
+    Alcotest.test_case "chaos: seeded schedules are pinned" `Quick
+      test_chaos_schedule_pinned;
     Alcotest.test_case "correlation: ids echoed, stamped, and traced"
       `Quick test_request_correlation;
     Alcotest.test_case "correlation: ids cross domains in the trace export"

@@ -786,7 +786,10 @@ let launch_total e ~execs ~par trip =
       (match Hashtbl.find_opt e.e_src.memo key with
       | Some v -> v
       | None ->
-          let v = Stats_cache.fiber_launch_total ~par (input tensor) level in
+          let v =
+            Stats_cache.fiber_launch_total ~lanes:e.e_cfg.arch.Arch.lanes ~par
+              (input tensor) level
+          in
           Hashtbl.add e.e_src.memo key v;
           v)
   | Trip_coiter { union; tensors = [ (a, la); (b, _) ] } ->
@@ -795,8 +798,8 @@ let launch_total e ~execs ~par trip =
       | Some v -> v
       | None ->
           let v =
-            Stats_cache.coiter_launch_total ~union ~par (input a) (input b)
-              ~depth:la
+            Stats_cache.coiter_launch_total ~lanes:e.e_cfg.arch.Arch.lanes
+              ~union ~par (input a) (input b) ~depth:la
           in
           Hashtbl.add e.e_src.memo key v;
           v)

@@ -194,10 +194,12 @@ let prepare (p : problem) : prepared =
 (** Largest mandatory last-level fiber-launch total at the point's inner
     parallelism — the occupancy statistic of {!Sim.estimate_bound}. *)
 let occupancy (pre : prepared) ~inner_par =
+  let lanes = pre.problem.config.Sim.arch.Arch.lanes in
   List.fold_left
     (fun acc t ->
       let last = Array.length (Tensor.dims t) - 1 in
-      Float.max acc (Stats_cache.fiber_launch_total ~par:inner_par t last))
+      Float.max acc
+        (Stats_cache.fiber_launch_total ~lanes ~par:inner_par t last))
     0.0 pre.bound.bc_occ
 
 (** Admissible lower bound on [Sim.estimate]'s cycles for one point,

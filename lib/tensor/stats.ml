@@ -108,18 +108,29 @@ let key_merge_count ~union (pa : int array) (pb : int array) =
   done;
   if union then na + nb - !inter else !inter
 
+(* The occupancy of a group of [m > 0] elements on [par]-wide lanes, added
+   into each [par]'s accumulator: [acc.(i)] sums [max m p / p] for
+   [p = pars.(i)].  Every accumulator adds the same terms in the same
+   order as a walk for its [par] alone, so each total is bit-identical to
+   that walk's. *)
+let charge_group (acc : float array) (pars : int array) m =
+  for i = 0 to Array.length pars - 1 do
+    let par = pars.(i) in
+    acc.(i) <- acc.(i) +. (float_of_int (max m par) /. float_of_int par)
+  done
+
 (** Like {!key_merge_count} but charging pipeline occupancy per parent
-    group: surviving keys are grouped by [key / parent_span] (the
-    linearized parent prefix) and a group of [m] keys costs
-    [max m par / par] vector-lane-group cycles. *)
-let key_coiter_launch_total ~union ~par ~parent_span (pa : int array)
+    group, for every [par] in [pars] in one merge: surviving keys are
+    grouped by [key / parent_span] (the linearized parent prefix) and a
+    group of [m] keys costs [max m par / par] vector-lane-group cycles.
+    Element [i] of the result is the total at [pars.(i)]. *)
+let key_coiter_launch_totals ~union ~pars ~parent_span (pa : int array)
     (pb : int array) =
   let na = Array.length pa and nb = Array.length pb in
-  let acc = ref 0.0 in
+  let acc = Array.make (Array.length pars) 0.0 in
   let group = ref 0 and m = ref 0 in
   let flush () =
-    if !m > 0 then
-      acc := !acc +. (float_of_int (max !m par) /. float_of_int par);
+    if !m > 0 then charge_group acc pars !m;
     m := 0
   in
   let visit k =
@@ -152,7 +163,7 @@ let key_coiter_launch_total ~union ~par ~parent_span (pa : int array)
     while !j < nb do visit pb.(!j); incr j done
   end;
   flush ();
-  !acc
+  acc
 
 (* Storage-order prefixes of length [n], sorted and distinct. *)
 let boxed_prefixes (t : Tensor.t) n =
@@ -275,35 +286,50 @@ let prefix_coiter_count ?keys ~union (a : Tensor.t) (b : Tensor.t) ~depth =
   let runs, short, _ = coiter_keys ?keys a b ~depth in
   List.fold_left (fun n run -> n + key_merge_count ~union run short) 0 runs
 
-(** Like {!fiber_launch_total} but for the {e co-iteration} of two tensors
-    at level [depth]: groups the surviving coordinates by their parent
-    prefix and charges [max m par / par] per group of [m]. *)
-let coiter_launch_total ?keys ~union ~par (a : Tensor.t) (b : Tensor.t) ~depth
-    =
+(** Like {!fiber_launch_totals} but for the {e co-iteration} of two
+    tensors at level [depth]: groups the surviving coordinates by their
+    parent prefix and charges [max m par / par] per group of [m], for
+    every [par] in [pars] in one merge of the key arrays. *)
+let coiter_launch_totals ?keys ~union ~pars (a : Tensor.t) (b : Tensor.t)
+    ~depth =
   let runs, short, parent_span = coiter_keys ?keys a b ~depth in
-  List.fold_left
-    (fun acc run ->
-      acc +. key_coiter_launch_total ~union ~par ~parent_span run short)
-    0.0 runs
+  let acc = Array.make (Array.length pars) 0.0 in
+  List.iter
+    (fun run ->
+      let r = key_coiter_launch_totals ~union ~pars ~parent_span run short in
+      Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) r)
+    runs;
+  acc
 
-(** [fiber_launch_total ~par x l] is the total pipeline occupancy, in
-    vector-lane-group cycles, of iterating every fiber of compressed level
-    [l] with [par]-wide sparse lanes: a fiber of [n > 0] elements occupies
-    [max n par / par] cycles (short fibers cannot fill the vector width).
-    Empty fibers contribute nothing (their launch overhead is charged
-    separately). *)
-let fiber_launch_total ~par (x : Tensor.t) l =
+(** {!coiter_launch_totals} at one [par]. *)
+let coiter_launch_total ?keys ~union ~par a b ~depth =
+  (coiter_launch_totals ?keys ~union ~pars:[| par |] a b ~depth).(0)
+
+(** [fiber_launch_totals ~pars x l] is, for every [par] in [pars], the
+    total pipeline occupancy, in vector-lane-group cycles, of iterating
+    every fiber of level [l] with [par]-wide sparse lanes: a fiber of
+    [n > 0] elements occupies [max n par / par] cycles (short fibers
+    cannot fill the vector width).  Empty fibers contribute nothing (their
+    launch overhead is charged separately).  A compressed level's [pos]
+    array is walked once for all of [pars]; element [i] of the result is
+    the total at [pars.(i)]. *)
+let fiber_launch_totals ~pars (x : Tensor.t) l =
   match x.Tensor.levels.(l) with
   | Tensor.Dense_level { dim } ->
       let fibers = if l = 0 then 1 else Tensor.num_positions x (l - 1) in
-      float_of_int (fibers * max dim par) /. float_of_int par
+      Array.map
+        (fun par -> float_of_int (fibers * max dim par) /. float_of_int par)
+        pars
   | Tensor.Compressed_level { pos; _ } ->
-      let acc = ref 0.0 in
+      let acc = Array.make (Array.length pars) 0.0 in
       for p = 0 to Array.length pos - 2 do
         let n = pos.(p + 1) - pos.(p) in
-        if n > 0 then acc := !acc +. (float_of_int (max n par) /. float_of_int par)
+        if n > 0 then charge_group acc pars n
       done;
-      !acc
+      acc
+
+(** {!fiber_launch_totals} at one [par]. *)
+let fiber_launch_total ~par x l = (fiber_launch_totals ~pars:[| par |] x l).(0)
 
 (** Maximum fiber length at compressed level [l] (worst-case segment). *)
 let max_fiber_len (x : Tensor.t) l =

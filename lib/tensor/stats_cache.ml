@@ -111,13 +111,13 @@ type value =
 
 (** Capacity bound with LRU eviction: every entry carries a last-use
     stamp (a logical tick bumped on each table access), and an insert
-    that pushes the table past the capacity evicts the least-recently
-    used entries one at a time until it fits again.  The default is far
-    above any single search's working set, so in a one-shot CLI run the
-    bound never bites; in a long-lived daemon (the compile service, the
-    fuzzer) it is what keeps dead tensors — fuzz cases, disconnected
-    clients' datasets — from accumulating for the process lifetime.
-    {!set_capacity} tunes the bound at runtime. *)
+    that pushes the table past the capacity sheds the least-recently
+    used entries, oldest stamps first, down to {!low_water} in one scan.
+    The default is far above any single search's working set, so in a
+    one-shot CLI run the bound never bites; in a long-lived daemon (the
+    compile service, the fuzzer) it is what keeps dead tensors — fuzz
+    cases, disconnected clients' datasets — from accumulating for the
+    process lifetime.  {!set_capacity} tunes the bound at runtime. *)
 let default_capacity = 8192
 
 type entry = { e_value : value; mutable e_last_used : int }
@@ -205,32 +205,38 @@ let set_enabled b =
 
 let is_enabled () = locked (fun () -> !enabled_flag)
 
-(* Caller holds [lock].  Evict least-recently-used entries until the
-   table fits the capacity bound again; returns how many were shed.  The
-   scan is O(n) per victim, but it only runs when an insert overflows
-   the bound, and the bound keeps n small by construction. *)
-let evict_lru_locked () =
-  let evicted = ref 0 in
-  while Hashtbl.length table > !capacity_bound do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= e.e_last_used -> acc
-          | _ -> Some (k, e.e_last_used))
-        table None
-    in
-    match victim with
-    | Some (k, _) ->
-        Hashtbl.remove table k;
-        incr evict_count;
-        incr evicted
-    | None -> ()
-  done;
-  !evicted
+(** The size an overflowing table is shed down to: three quarters of the
+    bound [cap] (at least 1), so one O(n log n) scan pays for the next
+    [cap / 4] inserts instead of running on every one. *)
+let low_water cap = max 1 (cap * 3 / 4)
 
-(** Bound the table to [n] entries (clamped to at least 1), evicting
-    least-recently-used entries immediately if it is already over. *)
+(* Caller holds [lock].  If the table is over the capacity bound, shed
+   its least-recently-used entries down to [low_water] in one scan
+   (stamps are distinct, so the survivors are exactly the most recently
+   used ones); returns how many were shed. *)
+let evict_lru_locked () =
+  let n = Hashtbl.length table in
+  if n <= !capacity_bound then 0
+  else begin
+    let by_age = Array.make n (0, "") and i = ref 0 in
+    Hashtbl.iter
+      (fun k e ->
+        by_age.(!i) <- (e.e_last_used, k);
+        incr i)
+      table;
+    Array.sort (fun (a, _) (b, _) -> Int.compare a b) by_age;
+    let shed = n - low_water !capacity_bound in
+    for j = 0 to shed - 1 do
+      Hashtbl.remove table (snd by_age.(j))
+    done;
+    evict_count := !evict_count + shed;
+    shed
+  end
+
+(** Bound the table to [n] entries (clamped to at least 1).  A table
+    already over the new bound is shed immediately, least recently used
+    first, down to [low_water n] entries, as an overflowing insert would
+    be. *)
 let set_capacity n =
   let evicted =
     locked (fun () ->
@@ -294,8 +300,11 @@ let timed_raw compute =
 (* Double-checked fill (see the module doc for the discipline).  Callers
    check [enabled_flag] before building keys — disabled queries must not
    pay for fingerprinting.  Every table access stamps the entry with a
-   fresh logical tick so eviction is LRU, not arbitrary. *)
-let find_or_fill key compute =
+   fresh logical tick so eviction is LRU, not arbitrary.  One miss may
+   fill several entries: [compute] returns every (key, value) its walk
+   determined, [key]'s among them; each absent one is inserted, [key]
+   last so it is the most recently used, and the miss counts once. *)
+let find_or_fill_all key compute =
   let found =
     locked (fun () ->
         match Hashtbl.find_opt table key with
@@ -311,25 +320,53 @@ let find_or_fill key compute =
       v
   | None ->
       let t0 = Unix.gettimeofday () in
-      let v = compute () in
+      let filled = compute () in
       note_miss (Unix.gettimeofday () -. t0);
+      let insert (k, v) =
+        incr tick;
+        match Hashtbl.find_opt table k with
+        | Some e ->
+            (* raced (another domain filled first), or a sibling an
+               earlier fill left behind *)
+            e.e_last_used <- !tick;
+            e.e_value
+        | None ->
+            Hashtbl.add table k { e_value = v; e_last_used = !tick };
+            v
+      in
       let v, evicted =
         locked (fun () ->
-            incr tick;
-            match Hashtbl.find_opt table key with
-            | Some e ->
-                (* raced: another domain filled first *)
-                e.e_last_used <- !tick;
-                (e.e_value, 0)
-            | None ->
-                Hashtbl.add table key { e_value = v; e_last_used = !tick };
-                (v, evict_lru_locked ()))
+            List.iter
+              (fun kv -> if fst kv <> key then ignore (insert kv))
+              filled;
+            let v = insert (key, List.assoc key filled) in
+            (v, evict_lru_locked ()))
       in
       if evicted > 0 then
         Metrics.inc ~by:(float_of_int evicted) (Lazy.force m_evict);
       v
 
+let find_or_fill key compute =
+  find_or_fill_all key (fun () -> [ (key, compute ()) ])
+
 let wrong_kind key = invalid_arg ("Stats_cache: wrong entry kind for " ^ key)
+
+(* A launch-total fill: on a miss for [par], one walk [totals] computes
+   every par from 1 to [max par lanes] (the whole inner-parallelism axis
+   of a search on a [lanes]-wide chip) and each lands as its own [Float]
+   entry under [key p].  A [par < 1] fills only itself. *)
+let find_or_fill_pars ~lanes ~par key totals =
+  let pars =
+    if par < 1 then [| par |] else Array.init (max par lanes) (fun i -> i + 1)
+  in
+  match
+    find_or_fill_all (key par) (fun () ->
+        let vs = totals pars in
+        List.init (Array.length pars) (fun i ->
+            (key pars.(i), Float vs.(i))))
+  with
+  | Float v -> v
+  | _ -> wrong_kind (key par)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -360,17 +397,17 @@ let max_fiber_lens (t : Tensor.t) =
 
 let max_fiber_len (t : Tensor.t) l = (max_fiber_lens t).(l)
 
-(** Cached {!Stats.fiber_launch_total}. *)
-let fiber_launch_total ~par (t : Tensor.t) l =
+(** Cached {!Stats.fiber_launch_total}.  [lanes] is the chip's vector
+    width: a miss fills every par from 1 to [max par lanes] in one walk
+    of the level. *)
+let fiber_launch_total ~lanes ~par (t : Tensor.t) l =
   if not !enabled_flag then
     timed_raw (fun () -> Stats.fiber_launch_total ~par t l)
   else
-    let key = Printf.sprintf "flt|%s|%d|%d" (fingerprint t) l par in
-    match
-      find_or_fill key (fun () -> Float (Stats.fiber_launch_total ~par t l))
-    with
-    | Float v -> v
-    | _ -> wrong_kind key
+    let fp = fingerprint t in
+    find_or_fill_pars ~lanes ~par
+      (fun p -> Printf.sprintf "flt|%s|%d|%d" fp l p)
+      (fun pars -> Stats.fiber_launch_totals ~pars t l)
 
 (* Cached sorted-prefix key arrays: shared by every pairwise query whose
    linearization spans agree, so a tensor's nonzeros are scanned once per
@@ -403,20 +440,15 @@ let prefix_coiter_count ~union (a : Tensor.t) (b : Tensor.t) ~depth =
     | Int v -> v
     | _ -> wrong_kind key
 
-(** Cached {!Stats.coiter_launch_total}. *)
-let coiter_launch_total ~union ~par (a : Tensor.t) (b : Tensor.t) ~depth =
+(** Cached {!Stats.coiter_launch_total}; a miss fills every par from 1 to
+    [max par lanes] in one merge, as {!fiber_launch_total} does. *)
+let coiter_launch_total ~lanes ~union ~par (a : Tensor.t) (b : Tensor.t)
+    ~depth =
   if not !enabled_flag then
     timed_raw (fun () -> Stats.coiter_launch_total ~union ~par a b ~depth)
   else
-    let key =
-      Printf.sprintf "clt|%s|%s|%d|%b|%d" (fingerprint a) (fingerprint b)
-        depth union par
-    in
-    match
-      find_or_fill key (fun () ->
-          Float
-            (Stats.coiter_launch_total ~keys:prefix_keys ~union ~par a b
-               ~depth))
-    with
-    | Float v -> v
-    | _ -> wrong_kind key
+    let fpa = fingerprint a and fpb = fingerprint b in
+    find_or_fill_pars ~lanes ~par
+      (fun p -> Printf.sprintf "clt|%s|%s|%d|%b|%d" fpa fpb depth union p)
+      (fun pars ->
+        Stats.coiter_launch_totals ~keys:prefix_keys ~union ~pars a b ~depth)

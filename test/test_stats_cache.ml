@@ -203,7 +203,35 @@ let lru_eviction () =
       let _ = Stats_cache.stats b in
       let _ = Stats_cache.stats c in
       checki "no eviction under a roomy bound" grown
-        (Stats_cache.counters ()).Stats_cache.evictions)
+        (Stats_cache.counters ()).Stats_cache.evictions;
+      (* One overflow sheds a batch in one scan: fill a bound of 8, touch
+         the oldest entry, then overflow.  The survivors are exactly the
+         most recently used entries, and [evictions] counts every entry
+         shed. *)
+      Stats_cache.reset ();
+      Stats_cache.set_capacity 8;
+      let ts = Array.init 9 (fun i -> tensor (40 + i)) in
+      for i = 0 to 7 do ignore (Stats_cache.stats ts.(i)) done;
+      ignore (Stats_cache.stats ts.(0));
+      let before = Stats_cache.counters () in
+      checki "no eviction at the bound" 0 before.Stats_cache.evictions;
+      ignore (Stats_cache.stats ts.(8));
+      let survivors = Stats_cache.size () in
+      checkb "one overflow sheds a batch" true (survivors < 8);
+      checki "evictions count every entry shed" (9 - survivors)
+        (Stats_cache.counters ()).Stats_cache.evictions;
+      (* most recent first: ts.(8), ts.(0), ts.(7), ts.(6), ... *)
+      let recency = 8 :: 0 :: List.init 7 (fun i -> 7 - i) in
+      let kept = List.filteri (fun i _ -> i < survivors) recency in
+      let after_shed = Stats_cache.counters () in
+      List.iter (fun i -> ignore (Stats_cache.stats ts.(i))) kept;
+      let after_kept = Stats_cache.counters () in
+      checki "every most recently used entry survived" survivors
+        (after_kept.Stats_cache.hits - after_shed.Stats_cache.hits);
+      checki "no survivor recomputed" after_shed.Stats_cache.misses
+        after_kept.Stats_cache.misses;
+      checki "querying survivors sheds nothing" after_shed.Stats_cache.evictions
+        after_kept.Stats_cache.evictions)
 
 (* ------------------------------------------------------------------ *)
 (* Search integration                                                  *)
@@ -259,6 +287,35 @@ let pool_determinism () =
     (List.map Eval.cycles r1.Explore.evaluated
     = List.map Eval.cycles r4.Explore.evaluated)
 
+(* A launch-total miss fills every par of the chip's lanes in one walk, so
+   an exhaustive search records as many raw walks over one inner
+   parallelism as over all sixteen, and caching changes no answer. *)
+let all_par_fills () =
+  List.iter
+    (fun name ->
+      let p = Test_explore.kernel_problem name 48 in
+      let search ~enabled inner_pars =
+        let axes =
+          Space.default_axes ~inner_pars ~formats:p.Eval.formats p.Eval.expr
+        in
+        Stats_cache.set_enabled enabled;
+        Stats_cache.reset ();
+        let r = Explore.run ~workers:1 ~axes p in
+        let misses = (Stats_cache.counters ()).Stats_cache.misses in
+        Stats_cache.set_enabled true;
+        ((frontier_sig r, List.map Eval.cycles r.Explore.evaluated), misses)
+      in
+      let every = List.init 16 (fun i -> i + 1) in
+      let one, one_misses = search ~enabled:true [ 4 ] in
+      let all, all_misses = search ~enabled:true every in
+      checki (name ^ ": same misses over one par and over 1..16") one_misses
+        all_misses;
+      checkb (name ^ ": one par, cached = uncached") true
+        (one = fst (search ~enabled:false [ 4 ]));
+      checkb (name ^ ": 1..16, cached = uncached") true
+        (all = fst (search ~enabled:false every)))
+    [ "spmv"; "plus3" ]
+
 (* The acceptance check of the statistics cache: evaluating every point
    of the SDDMM grid performs >= 10x fewer raw statistics computations
    with the cache than without, with identical answers.  The points go
@@ -304,4 +361,6 @@ let suite =
       pool_determinism;
     Alcotest.test_case "grid search >=10x fewer raw computations" `Quick
       grid_miss_reduction;
+    Alcotest.test_case "all-par fills: misses independent of inner pars"
+      `Quick all_par_fills;
   ]

@@ -302,22 +302,46 @@ let prop_coiter_counts_bounds =
       && union >= max (T.nnz a) (T.nnz b)
       && inter + union = T.nnz a + T.nnz b)
 
+let take n p = List.filteri (fun i _ -> i < n) p
+
+(* Sorted distinct storage-order coordinate prefixes of length [n]: sorted
+   lexicographically, they are in the order a format's levels walk them. *)
+let prefixes t n =
+  List.sort_uniq compare
+    (List.map
+       (fun (c, _) -> take n (List.map (fun d -> c.(d)) (T.format t).F.mode_order))
+       (T.to_entries t))
+
+(* Cuts a sorted list into runs of consecutive elements with equal [key]. *)
+let runs_by key l =
+  List.fold_right
+    (fun x acc ->
+      match acc with
+      | (y :: _ as run) :: rest when key x = key y -> (x :: run) :: rest
+      | _ -> [ x ] :: acc)
+    l []
+
+let occupancy ~par n = float_of_int (max n par) /. float_of_int par
+
+(* Sum of group occupancies in storage order, the order the walks add
+   them in. *)
+let storage_order_sum ~par ~group sorted =
+  List.fold_left
+    (fun acc run -> acc +. occupancy ~par (List.length run))
+    0.0 (runs_by group sorted)
+
 (* Naive storage-order reference for the co-iteration statistics, built
    from lists.  A tensor with [m <= depth] modes is broadcast over the
    other's distinct leading [depth + 1 - m] coordinates; survivors group by
    their first [depth] coordinates, and a group of [n] costs
-   [max n par / par]. *)
+   [max n par / par].  Groups add up in storage order within each
+   broadcast run (one distinct leading coordinate), and the run totals
+   add up last run first, as [Stats] merges them, so the launch total is
+   bit-identical to [Stats]'s. *)
 let naive_coiter ~union ~par a b ~depth =
   let k = depth + 1 in
   let long, short = if T.order a < k then (b, a) else (a, b) in
   let m = min k (T.order short) in
-  let take n p = List.filteri (fun i _ -> i < n) p in
-  let prefixes t n =
-    List.sort_uniq compare
-      (List.map
-         (fun (c, _) -> take n (List.map (fun d -> c.(d)) (T.format t).F.mode_order))
-         (T.to_entries t))
-  in
   let pl = prefixes long k in
   let ps =
     if m = k then prefixes short m
@@ -330,16 +354,31 @@ let naive_coiter ~union ~par a b ~depth =
     if union then List.sort_uniq compare (pl @ ps)
     else List.filter (fun p -> List.mem p ps) pl
   in
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun p ->
-      let g = take depth p in
-      Hashtbl.replace groups g (1 + Option.value ~default:0 (Hashtbl.find_opt groups g)))
-    survivors;
-  ( List.length survivors,
-    Hashtbl.fold
-      (fun _ n acc -> acc +. (float_of_int (max n par) /. float_of_int par))
-      groups 0.0 )
+  let run_totals =
+    List.map
+      (storage_order_sum ~par ~group:(take depth))
+      (runs_by (take (k - m)) survivors)
+  in
+  (List.length survivors, List.fold_left ( +. ) 0.0 (List.rev run_totals))
+
+(* Naive storage-order reference for [Stats.fiber_launch_totals], built
+   from lists.  A compressed level [l]'s nonempty fibers are the distinct
+   length-[l] prefixes, in storage order, each as long as its distinct
+   length-[l + 1] extensions.  A dense level repeats its [dim] once per
+   position of the level above: the product of the dims above when they
+   are all dense, else one per distinct length-[l] prefix. *)
+let naive_fiber ~par t l =
+  match t.T.levels.(l) with
+  | T.Dense_level { dim } ->
+      let above = List.init l Fun.id in
+      let fibers =
+        if List.for_all (fun i -> F.level_kind (T.format t) i = F.Dense) above
+        then List.fold_left (fun n i -> n * T.level_dim t i) 1 above
+        else List.length (prefixes t l)
+      in
+      float_of_int (fibers * max dim par) /. float_of_int par
+  | T.Compressed_level _ ->
+      storage_order_sum ~par ~group:(take l) (prefixes t (l + 1))
 
 let big = 1 lsl 40
 
@@ -367,6 +406,7 @@ let arb_coiter_case =
       pair "csr" (F.csr ()) [ 4; 5 ] (F.csr ()) [ 4; 5 ] small [ 0; 1 ];
       pair "csc" (F.csc ()) [ 4; 5 ] (F.csc ()) [ 4; 5 ] small [ 0; 1 ];
       pair "dcsc" dcsc [ 4; 5 ] dcsc [ 4; 5 ] small [ 0; 1 ];
+      pair "ucc" (F.ucc ()) [ 3; 4; 5 ] (F.ucc ()) [ 3; 4; 5 ] small [ 0; 1; 2 ];
       oneofl perms >>= (fun mo ->
         pair "csf3" (csf3 mo) [ 3; 4; 5 ] (csf3 mo) [ 3; 4; 5 ] small [ 0; 1; 2 ]);
       oneofl [ F.csr (); F.csc (); dcsc ] >>= (fun fa ->
@@ -389,8 +429,48 @@ let prop_coiter_matches_reference =
           Stats.prefix_coiter_count ~union a b ~depth = count
           && Stats_cache.prefix_coiter_count ~union a b ~depth = count
           && near (Stats.coiter_launch_total ~union ~par a b ~depth)
-          && near (Stats_cache.coiter_launch_total ~union ~par a b ~depth))
+          && near (Stats_cache.coiter_launch_total ~lanes:16 ~union ~par a b ~depth))
         [ (false, 1); (false, 4); (true, 1); (true, 16) ])
+
+(* The one-walk all-par totals, the single-par views and the cache's
+   all-par fills each equal the storage-order references bit for bit, at
+   every par of a 16-lane chip and one beyond it. *)
+let prop_launch_totals_match_reference =
+  let pars = Array.of_list (List.init 16 (fun i -> i + 1) @ [ 23 ]) in
+  let same x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  let agree ~totals ~single ~cached ~naive =
+    let v = totals pars in
+    Array.length v = Array.length pars
+    && Array.for_all2
+         (fun par x ->
+           let r = naive ~par in
+           same x r && same (single ~par) r && same (cached ~par) r)
+         pars v
+  in
+  QCheck.Test.make ~name:"launch totals match storage-order references bitwise"
+    ~count:400 arb_coiter_case (fun (_, a, b, depth) ->
+      Stats_cache.reset ();
+      List.for_all
+        (fun union ->
+          agree
+            ~totals:(fun pars -> Stats.coiter_launch_totals ~union ~pars a b ~depth)
+            ~single:(fun ~par -> Stats.coiter_launch_total ~union ~par a b ~depth)
+            ~cached:(fun ~par ->
+              Stats_cache.coiter_launch_total ~lanes:16 ~union ~par a b ~depth)
+            ~naive:(fun ~par -> snd (naive_coiter ~union ~par a b ~depth)))
+        [ false; true ]
+      && List.for_all
+           (fun t ->
+             List.for_all
+               (fun l ->
+                 agree
+                   ~totals:(fun pars -> Stats.fiber_launch_totals ~pars t l)
+                   ~single:(fun ~par -> Stats.fiber_launch_total ~par t l)
+                   ~cached:(fun ~par ->
+                     Stats_cache.fiber_launch_total ~lanes:16 ~par t l)
+                   ~naive:(fun ~par -> naive_fiber ~par t l))
+               (List.init (T.order t) Fun.id))
+           [ a; b ])
 
 let prop_num_positions_consistent =
   QCheck.Test.make ~name:"level position counts are monotone products" ~count:100
@@ -410,6 +490,7 @@ let qcheck_cases =
       prop_csf_roundtrip;
       prop_coiter_counts_bounds;
       prop_coiter_matches_reference;
+      prop_launch_totals_match_reference;
       prop_num_positions_consistent;
     ]
 
